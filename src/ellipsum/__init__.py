@@ -1,16 +1,14 @@
 """Tight outer ellipsoids for Minkowski sums of ellipsoids.
 
-The public surface: the ``Ellipsoid`` value type and its quadratic-form
-twin, the one-parameter outer family and its volume-optimal member
-(``mvoe_pair`` / ``mvoe_sum``), discrete-time reach-tube propagation built
-on the pairwise step, and brute-force verification oracles.
+The public surface: the ``Ellipsoid`` value type, the one-parameter outer
+family and its volume-optimal member (``mvoe_pair`` / ``mvoe_sum``),
+discrete-time reach-tube propagation built on the pairwise step, and
+brute-force verification oracles.
 """
 
 from .ellipsoid import (
     Ellipsoid,
-    QuadraticForm,
     affine_image,
-    from_quadratic_form,
     lift_degenerate,
     unit_ball_volume,
     unit_direction,
@@ -74,7 +72,6 @@ __all__ = [
     "NonPositiveBeta",
     "NotPositiveDefinite",
     "OptimalityPolynomial",
-    "QuadraticForm",
     "ReachTube",
     "SingularMap",
     "SolverOptions",
@@ -85,7 +82,6 @@ __all__ = [
     "consistency_checks",
     "containment_check",
     "fixed_point_map",
-    "from_quadratic_form",
     "generalized_spectrum",
     "golden_section_beta",
     "lift_degenerate",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -178,9 +179,12 @@ def load_problem(path: str) -> dict:
             raise ProblemFormatError(f"claim.ellipsoid has dim {claimed.dim}, expected {dim}")
         beta = cobj.get("beta")
         if beta is not None:
-            beta = float(beta)
-            if beta <= 0.0:
-                raise ProblemFormatError("claim.beta must be positive")
+            try:
+                beta = float(beta)
+            except (TypeError, ValueError) as exc:
+                raise ProblemFormatError(f"claim.beta must be a number: {exc}") from exc
+            if not (math.isfinite(beta) and beta > 0.0):
+                raise ProblemFormatError("claim.beta must be a positive finite number")
         claim = {"ellipsoid": claimed, "beta": beta}
 
     if not ellipsoids and scenario is None:

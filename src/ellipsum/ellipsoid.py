@@ -1,10 +1,8 @@
-"""Ellipsoid value type, parameterization conversions and geometric queries.
+"""Ellipsoid value type and geometric queries.
 
 An ellipsoid is the set {x : (x - q)' Q^{-1} (x - q) <= 1} with center q and
-symmetric positive definite shape matrix Q. The same set can be written as a
-quadratic form {x : x'Ax + 2x'b + c <= 0}; both directions of that conversion
-live here, together with volume, support function, membership, affine images
-and boundary sampling for plots.
+symmetric positive definite shape matrix Q. Volume, support function,
+membership, affine images and boundary sampling for plots live here.
 """
 
 from __future__ import annotations
@@ -48,8 +46,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Ellipsoid:
     """Ellipsoid with center ``center`` and SPD shape matrix ``shape``.
 
-    The shape matrix is symmetrized on construction (rejecting genuinely
-    asymmetric input) and checked for positive definiteness via Cholesky.
+    The center must be finite. The shape matrix is symmetrized on
+    construction (rejecting genuinely asymmetric input) and checked for
+    positive definiteness via Cholesky.
     Instances are immutable; the stored arrays are read-only.
     """
 
@@ -58,6 +57,8 @@ class Ellipsoid:
 
     def __post_init__(self):
         center = np.array(self.center, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center has non-finite entries")
         shape = linalg.symmetrize(self.shape)
         if center.shape[0] != shape.shape[0]:
             raise DimensionMismatch(
@@ -95,18 +96,8 @@ class Ellipsoid:
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape[0] != self.dim:
             raise DimensionMismatch(f"point has dim {x.shape[0]}, ellipsoid has dim {self.dim}")
-        z = linalg.solve_lower(self._chol, x - self.center)
+        z = np.linalg.solve(self._chol, x - self.center)
         return float(z @ z) <= 1.0 + MEMBERSHIP_TOL
-
-    def to_quadratic_form(self) -> QuadraticForm:
-        """Convert to the (A, b, c) triple: A = Q^{-1}, b = -Q^{-1}q, c = q'Q^{-1}q - 1.
-
-        Always emits this normalization, which makes the round trip through
-        ``from_quadratic_form`` testable.
-        """
-        a = linalg.solve_cholesky(self._chol, np.eye(self.dim))
-        aq = linalg.solve_cholesky(self._chol, self.center)
-        return QuadraticForm(A=0.5 * (a + a.T), b=-aq, c=float(self.center @ aq) - 1.0)
 
     def sqrt_shape(self) -> np.ndarray:
         """Symmetric square root of the shape matrix, via eigendecomposition."""
@@ -157,49 +148,6 @@ class Ellipsoid:
 
     def __repr__(self):
         return f"Ellipsoid(center={self.center.tolist()}, shape={self.shape.tolist()})"
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticForm:
-    """The set {x : x'Ax + 2x'b + c <= 0} with A positive definite.
-
-    The triple is only defined up to positive scaling; construction accepts
-    any scaling but requires a nonempty interior, i.e. c < b'A^{-1}b.
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        a = linalg.symmetrize(self.A)
-        b = np.array(self.b, dtype=float).reshape(-1)
-        if b.shape[0] != a.shape[0]:
-            raise DimensionMismatch(f"b has dim {b.shape[0]}, A is {a.shape[0]}x{a.shape[0]}")
-        L = linalg.cholesky(a)
-        radius = float(b @ linalg.solve_cholesky(L, b)) - float(self.c)
-        if not radius > 0.0:
-            raise ValueError("quadratic form describes a set with empty interior")
-        object.__setattr__(self, "A", _freeze(a))
-        object.__setattr__(self, "b", _freeze(b))
-        object.__setattr__(self, "c", float(self.c))
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
-
-def from_quadratic_form(form: QuadraticForm) -> Ellipsoid:
-    """Recover (q, Q) from an (A, b, c) triple: q = -A^{-1}b, Q = (b'A^{-1}b - c) A^{-1}.
-
-    Accepts any positive scaling of the triple; the scale factor
-    b'A^{-1}b - c restores the Q that satisfies the defining inequality.
-    """
-    L = linalg.cholesky(form.A)
-    ainv_b = linalg.solve_cholesky(L, form.b)
-    radius = float(form.b @ ainv_b) - form.c
-    ainv = linalg.solve_cholesky(L, np.eye(form.dim))
-    return Ellipsoid(center=-ainv_b, shape=radius * 0.5 * (ainv + ainv.T))
 
 
 def affine_image(ell: Ellipsoid, matrix, shift=None) -> Ellipsoid:

@@ -1,7 +1,7 @@
-"""Dense linear algebra for small symmetric matrices (dim roughly 2 to 20).
+"""Thin wrappers over numpy's LAPACK routines for symmetric matrices.
 
-Everything works on plain float64 numpy arrays. Matrices are dense and
-row-major throughout; there are no sparse paths.
+Each wrapper checks its output and turns LAPACK failures into the package's
+typed errors. Everything works on dense float64 numpy arrays.
 """
 
 from typing import NamedTuple
@@ -41,6 +41,32 @@ def symmetrize(matrix, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _lapack_cholesky(m: np.ndarray) -> np.ndarray | None:
+    """LAPACK's lower factor of ``m``, or None when it fails or is not finite."""
+    try:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    return lower if np.all(np.isfinite(lower)) else None
+
+
+def _failing_pivot(m: np.ndarray) -> int:
+    """Index of the first pivot at which the factorization of ``m`` breaks down.
+
+    That is the first k whose leading (k+1)x(k+1) block has no factor. A
+    block that has one implies every smaller leading block has one, so the
+    search bisects over k. Only called after the whole of ``m`` failed.
+    """
+    good, bad = 0, m.shape[0]  # leading block sizes known to factor / to fail
+    while bad - good > 1:
+        size = (good + bad) // 2
+        if _lapack_cholesky(m[:size, :size]) is None:
+            bad = size
+        else:
+            good = size
+    return bad - 1
+
+
 def cholesky(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == matrix.
 
@@ -48,16 +74,9 @@ def cholesky(matrix: np.ndarray) -> np.ndarray:
     is not positive definite. Only the lower triangle of the input is read.
     """
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    lower = np.zeros((n, n))
-    for j in range(n):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > 0.0:  # also catches NaN
-            raise NotPositiveDefinite(j)
-        ljj = np.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / ljj
+    lower = _lapack_cholesky(m)
+    if lower is None:
+        raise NotPositiveDefinite(_failing_pivot(m))
     return lower
 
 
@@ -75,35 +94,3 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
         raise NoConvergence("symmetric eigensolver produced non-finite output")
     return EigenDecomposition(values=values, vectors=vectors)
-
-
-def det_from_cholesky(lower: np.ndarray) -> float:
-    """Determinant of the factored matrix: (prod of diagonal entries)^2."""
-    return float(np.prod(np.diagonal(lower)) ** 2)
-
-
-def solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L @ X = B by forward substitution. B may be a vector or matrix."""
-    L = np.asarray(lower, dtype=float)
-    x = np.array(rhs, dtype=float)
-    n = L.shape[0]
-    for i in range(n):
-        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
-    return x
-
-
-def solve_cholesky(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L @ L.T) @ X = B given the lower Cholesky factor L."""
-    L = np.asarray(lower, dtype=float)
-    x = solve_lower(L, rhs)
-    n = L.shape[0]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x
-
-
-def spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    L = cholesky(matrix)
-    inv = solve_cholesky(L, np.eye(L.shape[0]))
-    return 0.5 * (inv + inv.T)

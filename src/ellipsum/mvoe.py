@@ -165,8 +165,7 @@ def transform_direction_to_beta(Q1, Q2, direction) -> float:
 
 
 def _spectrum_from_factor(L1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    x = linalg.solve_lower(L1, Q2)
-    w = linalg.solve_lower(L1, x.T).T
+    w = np.linalg.solve(L1, np.linalg.solve(L1, Q2).T)
     values = linalg.sym_eig(0.5 * (w + w.T)).values
     if values[0] <= 0.0:
         raise NotPositiveDefinite(0, "second shape matrix is not positive definite")
@@ -231,14 +230,7 @@ def optimality_polynomial(lam) -> OptimalityPolynomial:
     e = _elementary_symmetric(1.0 / values)
     mu = np.array([(d - r) * e[r] - (r - 1) * e[r - 1] for r in range(1, d)])
     coeffs = np.concatenate([[float(d)], mu, [-(d - 1) * e[d - 1], -d * e[d]]])
-    assert np.all(e[1:] > 0.0)
-    assert _sign_changes(coeffs) == 1, "optimality polynomial must have exactly one sign change"
     return OptimalityPolynomial(coeffs=coeffs, esp=e, mu=mu)
-
-
-def _sign_changes(coeffs: np.ndarray) -> int:
-    signs = [s for s in np.sign(coeffs) if s != 0.0]
-    return int(sum(1 for a, b in zip(signs, signs[1:]) if a != b))
 
 
 def bracket_beta_2d(lambda1: float, lambda2: float) -> tuple[float, float]:
@@ -374,8 +366,6 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
         beta, iterations = beta_trace_optimal(q1, q2), 0
     else:
         raise ValueError(f"unknown method {method!r}")
-    if method != "trace":
-        assert logdet_curvature(lam, beta) > 0.0  # stationary point is a minimum
     shape = q_of_beta(q1, q2, beta)
     out = Ellipsoid(center=e1.center + e2.center, shape=shape)
     return MvoeResult(

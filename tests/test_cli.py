@@ -76,6 +76,13 @@ class TestSum:
         inp = write_problem(tmp_path / "p.json", bad)
         assert main(["sum", inp, str(tmp_path / "r.json")]) == 2
 
+    def test_nonfinite_center_exits_2_without_output(self, tmp_path):
+        problem = {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(center=(math.nan, 0.0))]}
+        inp = write_problem(tmp_path / "p.json", problem)
+        out = tmp_path / "r.json"
+        assert main(["sum", inp, str(out)]) == 2
+        assert not out.exists()
+
     def test_single_input_round_trips_exactly(self, tmp_path):
         rng = np.random.default_rng(111)
         e = random_ellipsoid(rng, 3)
@@ -240,6 +247,20 @@ class TestCheck:
             "consistency",
             "volume_agreement",
         ]
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, "abc"])
+    def test_invalid_claim_beta_exits_2(self, tmp_path, capsys, beta):
+        disk = Ellipsoid(np.zeros(2), np.eye(2))
+        outer = mvoe_pair(disk, disk).ellipsoid
+        problem = {
+            "version": "1",
+            "dimension": 2,
+            "ellipsoids": [disk.to_dict(), disk.to_dict()],
+            "claim": {"ellipsoid": outer.to_dict(), "beta": beta},
+        }
+        inp = write_problem(tmp_path / "p.json", problem)
+        assert main(["check", inp]) == 2
+        assert "claim.beta" in capsys.readouterr().err
 
     def test_byte_identical_output_for_same_seed(self, tmp_path, capsys):
         rng = np.random.default_rng(116)

@@ -8,11 +8,9 @@ from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
     NotPositiveDefinite,
-    QuadraticForm,
     SingularMap,
     UnsupportedDimension,
     affine_image,
-    from_quadratic_form,
     lift_degenerate,
     unit_ball_volume,
     unit_direction,
@@ -32,6 +30,11 @@ class TestConstruction:
         with pytest.raises(NotPositiveDefinite):
             Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_center(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Ellipsoid([bad, 0.0], np.eye(2))
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Ellipsoid(np.zeros(3), np.eye(2))
@@ -42,56 +45,6 @@ class TestConstruction:
             e.center = np.ones(2)
         with pytest.raises(ValueError):
             e.shape[0, 0] = 5.0
-
-
-class TestQuadraticFormConversion:
-    def test_unit_disk(self):
-        form = unit_disk().to_quadratic_form()
-        assert np.allclose(form.A, np.eye(2), atol=0)
-        assert np.allclose(form.b, 0.0, atol=0)
-        assert form.c == -1.0
-
-    def test_shifted_disk(self):
-        form = Ellipsoid([1.0, 0.0], np.eye(2)).to_quadratic_form()
-        assert np.allclose(form.A, np.eye(2), atol=0)
-        assert np.allclose(form.b, [-1.0, 0.0], atol=0)
-        assert abs(form.c) < 1e-15
-
-    def test_from_form_trivial(self):
-        e = from_quadratic_form(QuadraticForm(np.eye(2), np.zeros(2), -1.0))
-        assert np.allclose(e.center, 0.0, atol=0)
-        assert np.allclose(e.shape, np.eye(2), atol=0)
-        e = from_quadratic_form(QuadraticForm(np.diag([4.0, 1.0]), np.zeros(2), -1.0))
-        assert np.allclose(e.shape, np.diag([0.25, 1.0]), atol=1e-15)
-
-    @pytest.mark.parametrize("dim", range(1, 11))
-    def test_round_trip(self, dim):
-        rng = np.random.default_rng(500 + dim)
-        e = random_ellipsoid(rng, dim)
-        back = from_quadratic_form(e.to_quadratic_form())
-        scale = np.linalg.norm(e.shape)
-        assert np.linalg.norm(back.shape - e.shape) / scale < 1e-10
-        assert np.allclose(back.center, e.center, rtol=1e-10, atol=1e-10)
-
-    def test_from_form_ignores_positive_scaling(self):
-        rng = np.random.default_rng(42)
-        e = random_ellipsoid(rng, 4)
-        form = e.to_quadratic_form()
-        scaled = QuadraticForm(7.5 * form.A, 7.5 * form.b, 7.5 * form.c)
-        back = from_quadratic_form(scaled)
-        assert np.allclose(back.shape, e.shape, rtol=1e-10, atol=1e-12)
-        assert np.allclose(back.center, e.center, rtol=1e-10, atol=1e-12)
-
-    def test_to_form_emits_normalized_triple(self):
-        rng = np.random.default_rng(43)
-        e = random_ellipsoid(rng, 3)
-        form = e.to_quadratic_form()
-        # the emitted normalization satisfies c = q'Aq - 1
-        assert abs(form.c - (e.center @ form.A @ e.center - 1.0)) < 1e-9
-
-    def test_empty_interior_rejected(self):
-        with pytest.raises(ValueError, match="empty interior"):
-            QuadraticForm(np.eye(2), np.zeros(2), 1.0)
 
 
 class TestVolume:

@@ -5,27 +5,7 @@ import pytest
 
 from conftest import spd_matrix
 from ellipsum import NoConvergence, NotPositiveDefinite
-from ellipsum.linalg import (
-    cholesky,
-    det_from_cholesky,
-    solve_cholesky,
-    solve_lower,
-    spd_inverse,
-    sym_eig,
-    symmetrize,
-)
-
-
-def det_cofactor(m: np.ndarray) -> float:
-    """Cofactor-expansion determinant, the independent oracle for small dims."""
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * m[0, j] * det_cofactor(minor)
-    return total
+from ellipsum.linalg import cholesky, sym_eig, symmetrize
 
 
 class TestSymmetrize:
@@ -77,6 +57,13 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             cholesky(np.zeros((3, 3)))
         assert info.value.pivot == 0
+        # singular only after a positive definite leading 1x1 block
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky(np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert info.value.pivot == 1
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky(np.diag([1.0, 1.0, -1.0]))
+        assert info.value.pivot == 2
 
 
 class TestSymEig:
@@ -113,61 +100,3 @@ class TestSymEig:
     def test_noconvergence_is_raised_for_unusable_input(self):
         with pytest.raises((NoConvergence, ValueError)):
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert det_from_cholesky(np.eye(2)) == 1.0
-
-    def test_diagonal_factor(self):
-        assert det_from_cholesky(np.diag([2.0, 3.0])) == 36.0
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_matches_cofactor_oracle(self, dim):
-        rng = np.random.default_rng(300 + dim)
-        for _ in range(20):
-            m = spd_matrix(rng, dim, log_lo=-1.0, log_hi=1.0)
-            det = det_from_cholesky(cholesky(m))
-            oracle = det_cofactor(m)
-            assert abs(det - oracle) / abs(oracle) < 1e-10
-
-    @pytest.mark.parametrize("dim", range(1, 11))
-    def test_matches_eigenvalue_product(self, dim):
-        rng = np.random.default_rng(400 + dim)
-        for _ in range(10):
-            m = spd_matrix(rng, dim)
-            det = det_from_cholesky(cholesky(m))
-            prod = float(np.prod(sym_eig(m).values))
-            assert abs(det - prod) / abs(prod) < 1e-10
-
-
-class TestTriangularSolves:
-    def test_identity_factor(self):
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(solve_lower(np.eye(3), b), b)
-
-    def test_diagonal_factor(self):
-        x = solve_lower(np.diag([2.0, 4.0]), np.eye(2))
-        assert np.allclose(x, np.diag([0.5, 0.25]), atol=0)
-
-    def test_forward_substitution_residual(self):
-        rng = np.random.default_rng(11)
-        for dim in (2, 5, 9):
-            L = cholesky(spd_matrix(rng, dim))
-            b = rng.normal(size=(dim, 3))
-            x = solve_lower(L, b)
-            assert np.max(np.abs(L @ x - b)) < 1e-12
-
-    def test_solve_cholesky_residual(self):
-        rng = np.random.default_rng(12)
-        m = spd_matrix(rng, 6, log_lo=-1.0, log_hi=1.0)
-        b = rng.normal(size=6)
-        x = solve_cholesky(cholesky(m), b)
-        assert np.max(np.abs(m @ x - b)) < 1e-10
-
-    def test_spd_inverse(self):
-        rng = np.random.default_rng(13)
-        m = spd_matrix(rng, 5, log_lo=-1.0, log_hi=1.0)
-        inv = spd_inverse(m)
-        assert np.max(np.abs(m @ inv - np.eye(5))) < 1e-10
-        assert np.array_equal(inv, inv.T)

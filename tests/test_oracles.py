@@ -112,6 +112,24 @@ class TestStationarity:
             report = stationarity_check(q1, q2, beta)
             assert report.passed, report.details
 
+    def test_solver_roots_pass_at_wide_shape_scales(self):
+        # shape eigenvalues over six decades put the finite difference's
+        # roundoff near 1e-7, far above its true value at the root
+        from ellipsum import stationarity_check
+
+        failed = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            parts = [random_ellipsoid(rng, 3, log_lo=-3.0, log_hi=3.0) for _ in range(4)]
+            acc = parts[0]
+            for nxt in parts[1:]:
+                result = mvoe_pair(acc, nxt)
+                report = stationarity_check(acc.shape, nxt.shape, result.beta)
+                if not report.passed:
+                    failed.append((seed, report.details))
+                acc = result.ellipsoid
+        assert not failed
+
     def test_off_root_fails_but_routes_agree(self):
         from ellipsum import stationarity_check
 
