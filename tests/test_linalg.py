@@ -100,3 +100,46 @@ class TestSymEig:
     def test_noconvergence_is_raised_for_unusable_input(self):
         with pytest.raises((NoConvergence, ValueError)):
             sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def det_cofactor(m: np.ndarray) -> float:
+    """Cofactor-expansion determinant, the independent oracle for small dims."""
+    n = m.shape[0]
+    if n == 1:
+        return float(m[0, 0])
+    total = 0.0
+    for j in range(n):
+        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
+        total += (-1.0) ** j * m[0, j] * det_cofactor(minor)
+    return total
+
+
+def det_from_factor(m: np.ndarray) -> float:
+    """det m read off its Cholesky factor, as Ellipsoid.volume reads sqrt(det Q)."""
+    return float(np.prod(np.diagonal(cholesky(m)))) ** 2
+
+
+class TestDeterminant:
+    def test_identity(self):
+        assert det_from_factor(np.eye(2)) == 1.0
+
+    def test_diagonal_factor(self):
+        assert det_from_factor(np.diag([4.0, 9.0])) == 36.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_cofactor_oracle(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(20):
+            m = spd_matrix(rng, dim, log_lo=-1.0, log_hi=1.0)
+            det = det_from_factor(m)
+            oracle = det_cofactor(m)
+            assert abs(det - oracle) / abs(oracle) < 1e-10
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_matches_eigenvalue_product(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        for _ in range(10):
+            m = spd_matrix(rng, dim)
+            det = det_from_factor(m)
+            prod = float(np.prod(sym_eig(m).values))
+            assert abs(det - prod) / abs(prod) < 1e-10

@@ -43,6 +43,14 @@ def test_eigendecomposition_invariants(dim, seed):
 
 
 @given(dims, seeds)
+def test_det_consistency(dim, seed):
+    m = spd_matrix(np.random.default_rng(seed), dim)
+    det = float(np.prod(np.diagonal(cholesky(m)))) ** 2
+    prod = float(np.prod(sym_eig(m).values))
+    assert abs(det - prod) <= 1e-10 * abs(prod)
+
+
+@given(dims, seeds)
 def test_support_dominates_center_projection(dim, seed):
     rng = np.random.default_rng(seed)
     e = random_ellipsoid(rng, dim)
