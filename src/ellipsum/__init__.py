@@ -44,6 +44,7 @@ from .mvoe import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
+    solve_beta_newton,
     transform_direction_to_beta,
 )
 from .oracles import (
@@ -97,6 +98,7 @@ __all__ = [
     "q_of_direction",
     "solve_beta_bisection",
     "solve_beta_fixed_point",
+    "solve_beta_newton",
     "stationarity_check",
     "step_backward",
     "step_forward",

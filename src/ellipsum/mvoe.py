@@ -10,11 +10,14 @@ whose coefficients are the generalized eigenvalues lambda of Q1^{-1} Q2:
 
     sum_i (1 - beta^2 lambda_i) / (1 + beta lambda_i) = 0.
 
-This equation has exactly one positive root. Two solvers are provided: a
-bracketed bisection specialized to dimension 2, and a fixed-point iteration
-that works in any dimension. A closed form exists when minimizing the trace
-instead of the volume. Sums of more than two ellipsoids are handled by a
-pairwise left fold.
+This equation has exactly one positive root, and it lies in
+[lambda_max^{-1/2}, lambda_min^{-1/2}] because every term decreases in beta.
+The default solver is a safeguarded Newton iteration in log beta on that
+bracket, one code path for every dimension. The paper's two iterations stay
+available as reference methods: a bracketed bisection specialized to
+dimension 2, and a fixed-point iteration that works in any dimension. A
+closed form exists when minimizing the trace instead of the volume. Sums of
+more than two ellipsoids are handled by a pairwise left fold.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-METHODS = ("auto", "bisection", "fixed_point", "trace")
+METHODS = ("auto", "newton", "bisection", "fixed_point", "trace")
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -45,10 +48,12 @@ _WEIGHT_SUM_TOL = 1e-12
 class SolverOptions:
     """Tolerances and method selection for the beta solvers.
 
-    ``tolerance`` is the authoritative stopping criterion (interval width for
-    bisection, relative step size for the fixed point); the optimality
-    residual is reported but not used to stop. ``method`` "auto" picks
-    bisection in dimension 2 and the fixed point elsewhere.
+    ``tolerance`` is the authoritative stopping criterion: the step in log
+    beta for Newton, the interval width relative to beta for bisection, and
+    the step size relative to max(1, beta) for the fixed point. The optimality
+    residual is reported but not used to stop. ``max_iterations`` caps the
+    iterations of every method; reaching it raises MaxIterationsExceeded.
+    ``method`` "auto" picks Newton in every dimension.
     """
 
     tolerance: float = 1e-12
@@ -261,11 +266,12 @@ def _planar_cubic(lambda1: float, lambda2: float, beta: float) -> float:
 
 def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float, int]:
     """Bisect the planar cubic on its bracket until the interval width is
-    below ``opts.tolerance``.
+    below ``opts.tolerance`` relative to its upper end.
 
     Only defined for two-dimensional spectra; raises DimensionNotTwo
     otherwise. Returns the midpoint of the final interval and the number of
-    cubic evaluations spent.
+    cubic evaluations spent; raises MaxIterationsExceeded when
+    ``opts.max_iterations`` evaluations do not narrow the interval enough.
     """
     opts = opts or SolverOptions()
     values = np.asarray(lam, dtype=float).reshape(-1)
@@ -275,7 +281,9 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     lo, hi = bracket_beta_2d(l1, l2)
     f_lo = _planar_cubic(l1, l2, lo)
     iterations = 0
-    while hi - lo >= opts.tolerance and iterations < max(opts.max_iterations, 64):
+    while hi - lo >= opts.tolerance * hi:
+        if iterations == opts.max_iterations:
+            raise MaxIterationsExceeded(last_beta=0.5 * (lo + hi), iterations=iterations)
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # interval has collapsed to adjacent floats
             break
@@ -286,6 +294,52 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
         else:
             hi = mid
     return 0.5 * (lo + hi), iterations
+
+
+def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, int]:
+    """Safeguarded Newton iteration for the root, in t = log beta.
+
+    The bracket [-1/2 log lambda_max, -1/2 log lambda_min] holds the root in
+    any dimension. Each evaluation of the residual r shrinks it by the sign
+    of r; a Newton step that leaves it is replaced by its midpoint. Stops
+    when the step in t, i.e. the relative change of beta, is at most
+    ``opts.tolerance``; raises MaxIterationsExceeded at
+    ``opts.max_iterations``. A collapsed bracket (d = 1 or equal
+    eigenvalues) returns lambda^{-1/2} after 0 iterations. Returns beta and
+    the number of residual evaluations.
+    """
+    opts = opts or SolverOptions()
+    values = np.asarray(lam, dtype=float).reshape(-1).tolist()
+    if not values or min(values) <= 0.0:
+        raise ValueError("spectrum must be a nonempty array of positive values")
+    l_min, l_max = min(values), max(values)
+    if l_min == l_max:
+        return 1.0 / math.sqrt(l_min), 0
+    lo, hi = -0.5 * math.log(l_max), -0.5 * math.log(l_min)
+    t = 0.5 * (lo + hi)
+    for iteration in range(1, opts.max_iterations + 1):
+        beta = math.exp(t)
+        r = 0.0
+        slope = 0.0  # -dr/dbeta = sum l (1 + 2 beta + beta^2 l) / (1 + beta l)^2
+        for value in values:
+            scaled = beta * value
+            inv = 1.0 / (1.0 + scaled)
+            r += (1.0 - beta * scaled) * inv
+            slope += value * (1.0 + 2.0 * beta + beta * scaled) * inv * inv
+        if r == 0.0:
+            return beta, iteration
+        if r > 0.0:
+            lo = t
+        else:
+            hi = t
+        t_next = t + r / (beta * slope)
+        # inclusive: a converged step may land on the end it was taken from
+        if not lo <= t_next <= hi:
+            t_next = 0.5 * (lo + hi)
+        if abs(t_next - t) <= opts.tolerance:
+            return math.exp(t_next), iteration
+        t = t_next
+    raise MaxIterationsExceeded(last_beta=math.exp(t), iterations=opts.max_iterations)
 
 
 def fixed_point_map(lam, beta: float) -> float:
@@ -336,10 +390,8 @@ def beta_trace_optimal(Q1, Q2) -> float:
     return math.sqrt(float(np.trace(a)) / float(np.trace(b)))
 
 
-def _resolve_method(method: str, dim: int) -> str:
-    if method == "auto":
-        return "bisection" if dim == 2 else "fixed_point"
-    return method
+def _resolve_method(method: str) -> str:
+    return "newton" if method == "auto" else method
 
 
 def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -> MvoeResult:
@@ -347,18 +399,20 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     within the one-parameter outer family.
 
     The center is exactly q1 + q2. The shape is Q(beta+) where beta+ comes
-    from the selected method: bracketed bisection (d = 2 only), the
-    fixed-point iteration warm-started at the trace-optimal parameter, or
-    the trace closed form itself (cheap, suboptimal in volume, still a
-    guaranteed outer bound).
+    from the selected method: safeguarded Newton (the default), bracketed
+    bisection (d = 2 only), the fixed-point iteration warm-started at the
+    trace-optimal parameter, or the trace closed form itself (cheap,
+    suboptimal in volume, still a guaranteed outer bound).
     """
     opts = opts or SolverOptions()
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
     q1, q2 = e1.shape, e2.shape
     lam = _spectrum_from_factor(e1.chol, q2)
-    method = _resolve_method(opts.method, e1.dim)
-    if method == "bisection":
+    method = _resolve_method(opts.method)
+    if method == "newton":
+        beta, iterations = solve_beta_newton(lam, opts)
+    elif method == "bisection":
         beta, iterations = solve_beta_bisection(lam, opts)
     elif method == "fixed_point":
         beta, iterations = solve_beta_fixed_point(lam, beta_trace_optimal(q1, q2), opts)
@@ -400,7 +454,7 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
             beta=1.0,
             ellipsoid=only,
             volume=only.volume(),
-            method=_resolve_method(opts.method, only.dim),
+            method=_resolve_method(opts.method),
             iterations=0,
             residual=0.0,
         )

@@ -195,7 +195,8 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     are below STATIONARY_TOL in magnitude, i.e. ``beta`` really is a
     stationary point. Agreement has an absolute floor for values near zero:
     1e-8, raised for the two comparisons with (b) to FD_ROUNDOFF_FACTOR
-    times its roundoff, eps * cond(Q(beta)) / h with step h.
+    times its roundoff, eps * cond(Q(beta)) / h with step h. The magnitude
+    test forgives (b) the same roundoff floor.
     """
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
@@ -211,7 +212,7 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     agree_excess = max(
         abs(x - y) - (DERIVATIVE_RTOL * max(abs(x), abs(y)) + floor) for x, y, floor in triples
     )
-    magnitude_excess = max(abs(closed), abs(fd), abs(spectral)) - STATIONARY_TOL
+    magnitude_excess = max(abs(closed), abs(spectral), abs(fd) - fd_atol) - STATIONARY_TOL
     worst = max(agree_excess, magnitude_excess)
     return CheckReport(
         name="stationarity",

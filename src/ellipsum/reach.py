@@ -13,12 +13,12 @@ Rank-deficient input images G Q G' (tall G) are regularized through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, affine_image, lift_degenerate
+from .ellipsoid import Ellipsoid, _freeze, affine_image, lift_degenerate
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import SolverOptions, mvoe_pair
 
@@ -30,15 +30,22 @@ _INVERSE_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class LtiStage:
-    """One time step of x+ = F x + G u with input set u in ``input_set``."""
+    """One time step of x+ = F x + G u with input set u in ``input_set``.
+
+    ``F`` and ``G`` are stored as read-only copies, so what propagation
+    derives from them (F^{-1} and the lifted input images) is computed on
+    first use and kept with the stage: a tube that repeats one stage pays
+    for it once.
+    """
 
     F: np.ndarray
     G: np.ndarray
     input_set: Ellipsoid
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        f = np.asarray(self.F, dtype=float)
-        g = np.asarray(self.G, dtype=float)
+        f = np.array(self.F, dtype=float)
+        g = np.array(self.G, dtype=float)
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise DimensionMismatch(f"F must be square, got shape {f.shape}")
         if g.ndim != 2 or g.shape[0] != f.shape[0]:
@@ -47,8 +54,8 @@ class LtiStage:
             raise DimensionMismatch(
                 f"input set has dim {self.input_set.dim}, G has {g.shape[1]} columns"
             )
-        object.__setattr__(self, "F", f)
-        object.__setattr__(self, "G", g)
+        object.__setattr__(self, "F", _freeze(f))
+        object.__setattr__(self, "G", _freeze(g))
 
     @property
     def n(self) -> int:
@@ -57,6 +64,22 @@ class LtiStage:
     @property
     def m(self) -> int:
         return self.G.shape[1]
+
+    def inverse(self) -> np.ndarray:
+        """F^{-1}, read-only; raises SingularMap when F is numerically singular."""
+        if "inverse" not in self._derived:
+            self._derived["inverse"] = _freeze(_inverse_or_raise(self.F))
+        return self._derived["inverse"]
+
+    def input_image(self, eps: float, backward: bool = False) -> Ellipsoid:
+        """Lifted image of the input set under G, or under -F^{-1} G backward."""
+        key = ("backward" if backward else "forward", eps)
+        if key not in self._derived:
+            mapping = -self.inverse() @ self.G if backward else self.G
+            u = self.input_set
+            shape = lift_degenerate(mapping @ u.shape @ mapping.T, eps)
+            self._derived[key] = Ellipsoid(center=mapping @ u.center, shape=shape)
+        return self._derived[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +111,6 @@ class ReachTube:
         return [e.volume() for e in self.stages]
 
 
-def _input_image(stage: LtiStage, mapping: np.ndarray, eps: float) -> Ellipsoid:
-    u = stage.input_set
-    shape = mapping @ u.shape @ mapping.T
-    return Ellipsoid(center=mapping @ u.center, shape=lift_degenerate(shape, eps))
-
-
 def step_forward(
     state: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
 ) -> Ellipsoid:
@@ -101,7 +118,7 @@ def step_forward(
     if state.dim != stage.n:
         raise DimensionMismatch(f"state has dim {state.dim}, stage expects {stage.n}")
     mapped = affine_image(state, stage.F)
-    driven = _input_image(stage, stage.G, eps)
+    driven = stage.input_image(eps)
     return mvoe_pair(mapped, driven, opts).ellipsoid
 
 
@@ -146,9 +163,8 @@ def step_backward(
     """
     if terminal.dim != stage.n:
         raise DimensionMismatch(f"terminal set has dim {terminal.dim}, stage expects {stage.n}")
-    f_inv = _inverse_or_raise(stage.F)
-    mapped = affine_image(terminal, f_inv)
-    driven = _input_image(stage, -f_inv @ stage.G, eps)
+    mapped = affine_image(terminal, stage.inverse())
+    driven = stage.input_image(eps, backward=True)
     return mvoe_pair(mapped, driven, opts).ellipsoid
 
 

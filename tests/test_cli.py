@@ -42,7 +42,7 @@ class TestSum:
         result = json.loads(open(out).read())
         assert abs(result["volume"] - 4.0 * math.pi) < 1e-10
         assert np.allclose(result["ellipsoid"]["shape"], [[4.0, 0.0], [0.0, 4.0]], atol=1e-12)
-        assert result["method"] == "bisection"
+        assert result["method"] == "newton"
         assert len(result["betas"]) == 1
 
     def test_check_flag_appends_passing_report(self, tmp_path):
@@ -108,6 +108,12 @@ class TestSum:
         out = str(tmp_path / "r.json")
         assert main(["sum", inp, out, "--method", "fixed-point"]) == 0
         assert json.loads(open(out).read())["method"] == "fixed_point"
+
+    def test_method_flag_newton(self, tmp_path):
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        out = str(tmp_path / "r.json")
+        assert main(["sum", inp, out, "--method", "newton"]) == 0
+        assert json.loads(open(out).read())["method"] == "newton"
 
 
 class TestReach:

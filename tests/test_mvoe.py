@@ -28,6 +28,7 @@ from ellipsum import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
+    solve_beta_newton,
     transform_direction_to_beta,
     unit_ball_volume,
     unit_direction,
@@ -269,6 +270,79 @@ class TestBisection:
         with pytest.raises(DimensionNotTwo):
             solve_beta_bisection(np.array([1.0, 2.0, 3.0]))
 
+    def test_relative_width_at_large_scale(self):
+        # an absolute width of 1e-12 would stop near 9.128994e-9
+        lam = generalized_spectrum(np.diag([1.0, 2.0]), 1e16 * np.diag([1.0, 3.0]))
+        b_bis, _ = solve_beta_bisection(lam)
+        b_fp, _ = solve_beta_fixed_point(lam, 1.0)
+        assert abs(b_fp - 9.128709e-9) < 1e-6 * b_fp
+        assert abs(b_bis - b_fp) <= 1e-10 * b_fp
+
+    def test_iteration_cap(self):
+        with pytest.raises(MaxIterationsExceeded) as info:
+            solve_beta_bisection(np.array([1.0, 4.0]), SolverOptions(max_iterations=1))
+        assert info.value.iterations == 1
+        assert info.value.last_beta > 0.0
+
+
+def mp_root(values):
+    """The root to 50 digits, by a bracketing solver on the same residual."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        lam = [mpmath.mpf(v) for v in values]
+
+        def residual(b):
+            return mpmath.fsum((1 - b * b * v) / (1 + b * v) for v in lam)
+
+        lo, hi = 1 / mpmath.sqrt(max(lam)), 1 / mpmath.sqrt(min(lam))
+        return lo if lo == hi else mpmath.findroot(residual, (lo, hi), solver="anderson")
+
+
+class TestNewton:
+    def test_matches_fifty_digit_root(self):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(77)
+        worst, most = 0.0, 0
+        for k in range(400):
+            lam = 10.0 ** rng.uniform(-12.0, 12.0, 1 + k % 20)
+            beta, iterations = solve_beta_newton(lam)
+            worst = max(worst, float(abs(beta - mp_root(lam)) / beta))
+            most = max(most, iterations)
+        assert worst <= 1e-12
+        # 16 at most over 5000 such spectra
+        assert most <= 20
+
+    def test_frozen_root(self):
+        beta, _ = solve_beta_newton(np.array([1.0, 4.0]))
+        assert abs(beta - ROOT_LAMBDA_1_4) < 1e-15
+
+    @pytest.mark.parametrize("lam", [[4.0], [0.25] * 3, [1e-12] * 20])
+    def test_collapsed_bracket_is_exact(self, lam):
+        beta, iterations = solve_beta_newton(np.array(lam))
+        assert beta == 1.0 / math.sqrt(lam[0])
+        assert iterations == 0
+
+    def test_agrees_with_reference_methods(self):
+        rng = np.random.default_rng(78)
+        for dim in (2, 3, 7):
+            lam = np.sort(10.0 ** rng.uniform(-3, 3, dim))
+            beta, _ = solve_beta_newton(lam)
+            assert abs(beta - solve_beta_fixed_point(lam, 1.0)[0]) <= 1e-11 * beta
+            if dim == 2:
+                assert abs(beta - solve_beta_bisection(lam)[0]) <= 1e-11 * beta
+
+    def test_iteration_cap(self):
+        with pytest.raises(MaxIterationsExceeded) as info:
+            solve_beta_newton(np.array([1.0, 4.0]), SolverOptions(max_iterations=1))
+        assert info.value.iterations == 1
+        assert info.value.last_beta > 0.0
+
+    def test_rejects_nonpositive_spectrum(self):
+        with pytest.raises(ValueError):
+            solve_beta_newton(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            solve_beta_newton(np.array([]))
+
 
 class TestFixedPoint:
     def test_map_is_constant_for_equal_spectrum(self):
@@ -336,14 +410,14 @@ class TestMvoePair:
         assert np.allclose(result.ellipsoid.shape, 4.0 * np.eye(2), atol=1e-12)
         assert abs(result.volume - 4.0 * math.pi) < 1e-12
         assert abs(result.beta - 1.0) < 1e-10
-        assert result.method == "bisection"
+        assert result.method == "newton"
 
     def test_one_dimensional_intervals_exact(self):
         e1 = Ellipsoid([0.0], [[1.0]])
         e2 = Ellipsoid([0.0], [[4.0]])
         result = mvoe_pair(e1, e2)
         assert result.ellipsoid.shape[0, 0] == 9.0
-        assert result.method == "fixed_point"
+        assert result.method == "newton"
 
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_volume_matches_search_oracle(self, dim):
@@ -471,7 +545,7 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
         with pytest.raises(ValueError):
-            SolverOptions(method="newton")
+            SolverOptions(method="secant")
 
     def test_unit_ball_volume_values(self):
         assert abs(unit_ball_volume(2) - math.pi) < 1e-15

@@ -153,6 +153,56 @@ def test_mvoe_scaling_law(dim, seed, scale):
     assert np.allclose(scaled.ellipsoid.shape, scale * base.ellipsoid.shape, rtol=1e-8, atol=1e-10)
 
 
+scales = st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0**e)
+
+
+def volume_beta(q1, q2) -> float:
+    origin = np.zeros(q1.shape[0])
+    return mvoe_pair(Ellipsoid(origin, q1), Ellipsoid(origin, q2)).beta
+
+
+@given(st.integers(min_value=1, max_value=6), seeds, scales)
+def test_beta_invariant_under_joint_scaling(dim, seed, c):
+    rng = np.random.default_rng(seed)
+    q1, q2 = spd_matrix(rng, dim), spd_matrix(rng, dim)
+    beta = volume_beta(q1, q2)
+    assert abs(volume_beta(c * q1, c * q2) - beta) <= 1e-9 * beta
+
+
+@given(st.integers(min_value=1, max_value=6), seeds, scales)
+def test_beta_under_scaling_of_second_shape(dim, seed, c):
+    # beta/sqrt(c) holds exactly only for proportional shapes; in general
+    # sqrt(c) beta(Q1, c Q2) stays in the bracket of the unscaled spectrum
+    # and beta(Q1, c Q2) does not increase with c
+    rng = np.random.default_rng(seed)
+    q1, q2 = spd_matrix(rng, dim), spd_matrix(rng, dim)
+    lam = generalized_spectrum(q1, q2)
+    beta, scaled = volume_beta(q1, q2), volume_beta(q1, c * q2)
+    assert lam[-1] ** -0.5 * (1.0 - 1e-9) <= math.sqrt(c) * scaled <= lam[0] ** -0.5 * (1.0 + 1e-9)
+    assert (scaled - beta) * (c - 1.0) <= 1e-9 * max(scaled, beta) * abs(c - 1.0)
+    proportional = volume_beta(q1, c * q1)
+    assert abs(proportional - 1.0 / math.sqrt(c)) <= 1e-9 * proportional
+
+
+@given(st.integers(min_value=1, max_value=6), seeds, scales)
+def test_beta_inverts_under_swap(dim, seed, c):
+    rng = np.random.default_rng(seed)
+    q1, q2 = spd_matrix(rng, dim), c * spd_matrix(rng, dim)
+    beta = volume_beta(q1, q2)
+    assert abs(volume_beta(q2, q1) - 1.0 / beta) <= 1e-9 / beta
+
+
+@given(st.integers(min_value=1, max_value=6), seeds)
+def test_beta_invariant_under_congruence(dim, seed):
+    rng = np.random.default_rng(seed)
+    q1, q2 = spd_matrix(rng, dim), spd_matrix(rng, dim)
+    t = rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+    if np.linalg.cond(t) > 1e3:
+        return
+    beta = volume_beta(q1, q2)
+    assert abs(volume_beta(t @ q1 @ t.T, t @ q2 @ t.T) - beta) <= 1e-9 * beta
+
+
 @given(st.integers(min_value=2, max_value=3), seeds)
 def test_boundary_points_residual(dim, seed):
     e = random_ellipsoid(np.random.default_rng(seed), dim)

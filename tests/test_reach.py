@@ -184,3 +184,63 @@ class TestPropagateBackward:
             ReachTube(stages=())
         with pytest.raises(DimensionMismatch):
             ReachTube(stages=(interval(1.0), Ellipsoid(np.zeros(2), np.eye(2))))
+
+
+def random_stage(rng, gain: float, n: int = 3, m: int = 2) -> LtiStage:
+    """A stage whose F is ``gain`` times a random rotation, so tubes stay
+    bounded forward for gain < 1 and backward for gain > 1."""
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return LtiStage(F=gain * frame, G=rng.normal(size=(n, m)), input_set=random_ellipsoid(rng, m))
+
+
+def same_values(stage: LtiStage) -> LtiStage:
+    u = stage.input_set
+    return LtiStage(F=stage.F.copy(), G=stage.G.copy(), input_set=Ellipsoid(u.center, u.shape))
+
+
+class TestStageReuse:
+    def test_repeated_stage_matches_distinct_equal_stages(self):
+        rng = np.random.default_rng(96)
+        x0 = random_ellipsoid(rng, 3)
+        for propagate, gain in ((propagate_forward, 0.9), (propagate_backward, 1.2)):
+            stage = random_stage(rng, gain)
+            shared = [stage] * 100
+            distinct = [same_values(stage) for _ in range(100)]
+            a = propagate(x0, shared, eps=1e-9)
+            b = propagate(x0, distinct, eps=1e-9)
+            for ea, eb in zip(a, b):
+                assert np.array_equal(ea.center, eb.center)
+                assert np.array_equal(ea.shape, eb.shape)
+
+    def test_inverse_probed_once_per_distinct_stage(self, monkeypatch):
+        from ellipsum import reach
+
+        calls = []
+        probe = reach._inverse_or_raise
+
+        def counting(f):
+            calls.append(f)
+            return probe(f)
+
+        monkeypatch.setattr(reach, "_inverse_or_raise", counting)
+        rng = np.random.default_rng(97)
+        first, second = random_stage(rng, 1.2), random_stage(rng, 1.1)
+        propagate_backward(random_ellipsoid(rng, 3), [first] * 30 + [second] * 30, eps=1e-9)
+        assert len(calls) == 2
+
+    def test_singular_middle_stage_still_raises(self):
+        rng = np.random.default_rng(98)
+        singular = LtiStage(F=np.diag([1.0, 0.0, 1.0]), G=np.eye(3), input_set=random_ellipsoid(rng, 3))
+        stages = [random_stage(rng, 1.2, m=3), singular, random_stage(rng, 1.2, m=3)]
+        with pytest.raises(SingularMap):
+            propagate_backward(random_ellipsoid(rng, 3), stages, eps=0.0)
+
+    def test_stage_keeps_read_only_copies(self):
+        f, g = np.eye(2), np.eye(2)
+        stage = LtiStage(F=f, G=g, input_set=Ellipsoid(np.zeros(2), np.eye(2)))
+        f[0, 0] = 5.0
+        g[1, 1] = 5.0
+        assert stage.F[0, 0] == 1.0 and stage.G[1, 1] == 1.0
+        for a in (stage.F, stage.G, stage.inverse()):
+            with pytest.raises(ValueError):
+                a[0, 0] = 2.0
