@@ -413,7 +413,7 @@ def cmd_check(args) -> int:
 def _add_solver_flags(parser):
     parser.add_argument(
         "--method",
-        choices=["auto", "newton", "bisection", "fixed-point", "fixed_point", "trace"],
+        choices=["auto", "bisection", "fixed-point", "fixed_point", "trace"],
         default=None,
         help="root-finding method (default: problem file or 'auto')",
     )

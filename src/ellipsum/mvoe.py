@@ -39,7 +39,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-METHODS = ("auto", "newton", "bisection", "fixed_point", "trace")
+METHODS = ("auto", "bisection", "fixed_point", "trace")
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -53,7 +53,8 @@ class SolverOptions:
     the step size relative to max(1, beta) for the fixed point. The optimality
     residual is reported but not used to stop. ``max_iterations`` caps the
     iterations of every method; reaching it raises MaxIterationsExceeded.
-    ``method`` "auto" picks Newton in every dimension.
+    ``method`` "auto" runs the Newton solver in every dimension, and results
+    report it as "newton".
     """
 
     tolerance: float = 1e-12

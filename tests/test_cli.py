@@ -109,12 +109,6 @@ class TestSum:
         assert main(["sum", inp, out, "--method", "fixed-point"]) == 0
         assert json.loads(open(out).read())["method"] == "fixed_point"
 
-    def test_method_flag_newton(self, tmp_path):
-        inp = write_problem(tmp_path / "p.json", two_disk_problem())
-        out = str(tmp_path / "r.json")
-        assert main(["sum", inp, out, "--method", "newton"]) == 0
-        assert json.loads(open(out).read())["method"] == "newton"
-
 
 class TestReach:
     def test_documented_scalar_tube(self, tmp_path):

@@ -545,7 +545,7 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_iterations=0)
         with pytest.raises(ValueError):
-            SolverOptions(method="secant")
+            SolverOptions(method="newton")
 
     def test_unit_ball_volume_values(self):
         assert abs(unit_ball_volume(2) - math.pi) < 1e-15
