@@ -45,7 +45,6 @@ from .mvoe import (
     solve_beta_bisection,
     solve_beta_fixed_point,
     solve_beta_newton,
-    transform_direction_to_beta,
 )
 from .oracles import (
     CheckReport,
@@ -102,7 +101,6 @@ __all__ = [
     "stationarity_check",
     "step_backward",
     "step_forward",
-    "transform_direction_to_beta",
     "unit_ball_volume",
     "unit_direction",
 ]

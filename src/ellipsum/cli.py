@@ -39,7 +39,8 @@ EXIT_NUMERIC = 3
 EXIT_SINGULAR = 4
 EXIT_UNSUPPORTED_DIM = 5
 
-#: relative volume agreement demanded between solver and search oracle
+#: agreement demanded between the solver's and the search oracle's
+#: log-volumes, i.e. their relative volume difference to first order
 VOLUME_AGREEMENT_RTOL = 1e-8
 
 
@@ -60,15 +61,28 @@ def _write_text_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _write_json_atomic(path: str, payload: dict):
-    _write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _parse_ellipsoid(obj, where: str) -> Ellipsoid:
+def _write_json_atomic(path: str, payload: dict, code: int) -> int:
+    """Write ``payload`` as strict JSON and return ``code``, or fail with
+    EXIT_NUMERIC; a non-finite float is an error, never NaN or Infinity."""
     try:
-        return Ellipsoid.from_dict(obj)
+        _write_text_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    except (OSError, ValueError) as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_NUMERIC)
+    return code
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def _parse_ellipsoid(obj, where: str, dim: int | None = None) -> Ellipsoid:
+    try:
+        ell = Ellipsoid.from_dict(obj)
     except (ValueError, TypeError, EllipsumError) as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
+    if dim is not None and ell.dim != dim:
+        raise ProblemFormatError(f"{where} has dim {ell.dim}, expected {dim}")
+    return ell
 
 
 def _parse_options(obj, overrides: argparse.Namespace) -> SolverOptions:
@@ -136,11 +150,7 @@ def load_problem(path: str) -> dict:
     if ellipsoid_objs is not None:
         if not isinstance(ellipsoid_objs, list):
             raise ProblemFormatError("'ellipsoids' must be a list")
-        for k, obj in enumerate(ellipsoid_objs):
-            ell = _parse_ellipsoid(obj, f"ellipsoids[{k}]")
-            if ell.dim != dim:
-                raise ProblemFormatError(f"ellipsoids[{k}] has dim {ell.dim}, expected {dim}")
-            ellipsoids.append(ell)
+        ellipsoids = [_parse_ellipsoid(obj, f"ellipsoids[{k}]", dim) for k, obj in enumerate(ellipsoid_objs)]
 
     scenario = None
     if raw.get("scenario") is not None:
@@ -153,9 +163,7 @@ def load_problem(path: str) -> dict:
         anchor_key = "initial" if mode == "forward" else "terminal"
         if anchor_key not in sobj:
             raise ProblemFormatError(f"scenario is missing '{anchor_key}' for {mode} mode")
-        anchor = _parse_ellipsoid(sobj[anchor_key], f"scenario.{anchor_key}")
-        if anchor.dim != dim:
-            raise ProblemFormatError(f"scenario.{anchor_key} has dim {anchor.dim}, expected {dim}")
+        anchor = _parse_ellipsoid(sobj[anchor_key], f"scenario.{anchor_key}", dim)
         stage_objs = sobj.get("stages", [])
         if not isinstance(stage_objs, list):
             raise ProblemFormatError("scenario.stages must be a list")
@@ -174,9 +182,7 @@ def load_problem(path: str) -> dict:
         cobj = raw["claim"]
         if not isinstance(cobj, dict) or "ellipsoid" not in cobj:
             raise ProblemFormatError("'claim' must be an object with an 'ellipsoid'")
-        claimed = _parse_ellipsoid(cobj["ellipsoid"], "claim.ellipsoid")
-        if claimed.dim != dim:
-            raise ProblemFormatError(f"claim.ellipsoid has dim {claimed.dim}, expected {dim}")
+        claimed = _parse_ellipsoid(cobj["ellipsoid"], "claim.ellipsoid", dim)
         beta = cobj.get("beta")
         if beta is not None:
             try:
@@ -228,7 +234,8 @@ def cmd_sum(args) -> int:
         "command": "sum",
         "dimension": problem["dimension"],
         "ellipsoid": result.ellipsoid.to_dict(),
-        "volume": result.volume,
+        "volume": _finite_or_none(result.volume),
+        "log_volume": result.ellipsoid.log_volume(),
         "beta": result.beta,
         "betas": betas,
         "method": result.method,
@@ -245,11 +252,7 @@ def cmd_sum(args) -> int:
         if not report.passed:
             code = EXIT_CHECK_FAILED
 
-    try:
-        _write_json_atomic(args.output, payload)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_NUMERIC)
-    return code
+    return _write_json_atomic(args.output, payload, code)
 
 
 def cmd_reach(args) -> int:
@@ -268,11 +271,9 @@ def cmd_reach(args) -> int:
         tube = _timed(
             args, "reach", lambda: propagate(scenario["anchor"], scenario["stages"], scenario["eps"], opts)
         )
-    except SingularMap as exc:
-        if mode == "backward":
-            return _fail(f"singular state matrix: {exc}", EXIT_SINGULAR)
-        return _fail(f"solver error: {exc}", EXIT_NUMERIC)
     except EllipsumError as exc:
+        if mode == "backward" and isinstance(exc, SingularMap):
+            return _fail(f"singular state matrix: {exc}", EXIT_SINGULAR)
         return _fail(f"solver error: {exc}", EXIT_NUMERIC)
 
     payload = {
@@ -282,13 +283,10 @@ def cmd_reach(args) -> int:
         "dimension": problem["dimension"],
         "eps": scenario["eps"],
         "tube": [e.to_dict() for e in tube],
-        "volumes": tube.volumes(),
+        "volumes": [_finite_or_none(v) for v in tube.volumes()],
+        "log_volumes": [e.log_volume() for e in tube],
     }
-    try:
-        _write_json_atomic(args.output, payload)
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_NUMERIC)
-    return EXIT_OK
+    return _write_json_atomic(args.output, payload, EXIT_OK)
 
 
 def _boundary_rows(ell: Ellipsoid, samples: int) -> list[list[str]]:
@@ -338,19 +336,22 @@ def cmd_boundary(args) -> int:
     return EXIT_OK
 
 
-def _pair_step_reports(shape1, shape2, beta, volume) -> list:
+def _pair_step_reports(shape1, shape2, beta, log_volume) -> list:
     reports = [stationarity_check(shape1, shape2, beta)]
     lam = generalized_spectrum(shape1, shape2)
     reports.append(consistency_checks(lam, beta))
-    _, oracle_volume = golden_section_beta(shape1, shape2, tol=1e-9)
-    rel = abs(volume - oracle_volume) / max(abs(oracle_volume), np.finfo(float).tiny)
+    _, oracle_log_volume = golden_section_beta(shape1, shape2, tol=1e-9)
+    diff = abs(log_volume - oracle_log_volume)
     reports.append(
         CheckReport(
             name="volume_agreement",
-            passed=bool(rel <= VOLUME_AGREEMENT_RTOL),
-            worst_violation=float(rel - VOLUME_AGREEMENT_RTOL),
+            passed=bool(diff <= VOLUME_AGREEMENT_RTOL),
+            worst_violation=float(diff - VOLUME_AGREEMENT_RTOL),
             samples=1,
-            details=f"solver volume {volume:.12e} vs search oracle {oracle_volume:.12e} (rel {rel:.3e})",
+            details=(
+                f"solver log-volume {log_volume:.12e} vs search oracle {oracle_log_volume:.12e} "
+                f"(diff {diff:.3e})"
+            ),
         )
     )
     return reports
@@ -374,9 +375,8 @@ def cmd_check(args) -> int:
             outer = claim["ellipsoid"]
             reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
             if claim["beta"] is not None and len(parts) == 2:
-                pair_volume = outer.volume()
                 reports.extend(
-                    _pair_step_reports(parts[0].shape, parts[1].shape, claim["beta"], pair_volume)
+                    _pair_step_reports(parts[0].shape, parts[1].shape, claim["beta"], outer.log_volume())
                 )
         else:
             def solve_and_check():
@@ -385,7 +385,7 @@ def cmd_check(args) -> int:
                 for nxt in parts[1:]:
                     result = mvoe_pair(acc, nxt, opts)
                     step_reports.extend(
-                        _pair_step_reports(acc.shape, nxt.shape, result.beta, result.volume)
+                        _pair_step_reports(acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume())
                     )
                     acc = result.ellipsoid
                 return acc, step_reports

@@ -25,6 +25,10 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+def _log_unit_ball_volume(dim: int) -> float:
+    return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
+
+
 def unit_direction(vector) -> np.ndarray:
     """Normalize a direction vector to unit Euclidean length.
 
@@ -48,7 +52,8 @@ class Ellipsoid:
 
     The center must be finite. The shape matrix is symmetrized on
     construction (rejecting genuinely asymmetric input) and checked for
-    positive definiteness via Cholesky.
+    positive definiteness via Cholesky. Solver outputs, SPD by construction,
+    skip these checks through ``_trusted``.
     Instances are immutable; the stored arrays are read-only.
     """
 
@@ -65,22 +70,41 @@ class Ellipsoid:
                 f"center has dim {center.shape[0]}, shape matrix is {shape.shape[0]}x{shape.shape[0]}"
             )
         chol = linalg.cholesky(shape)  # raises NotPositiveDefinite for invalid shapes
+        self._store(center, shape, chol, float(np.sum(np.log(np.diagonal(chol)))))
+
+    @classmethod
+    def _trusted(cls, center, shape, factor, half_logdet: float) -> Ellipsoid:
+        """Store an SPD-by-construction ``shape`` with a square root ``factor``
+        (shape = factor @ factor.T) and 1/2 log det shape, without checks."""
+        out = object.__new__(cls)
+        out._store(center, shape, factor, half_logdet)
+        return out
+
+    def _store(self, center, shape, factor, half_logdet):
         object.__setattr__(self, "center", _freeze(center))
         object.__setattr__(self, "shape", _freeze(shape))
-        object.__setattr__(self, "_chol", _freeze(chol))
+        object.__setattr__(self, "_factor", _freeze(factor))
+        object.__setattr__(self, "_half_logdet", half_logdet)
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
     @property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the shape matrix, cached at construction."""
-        return self._chol
+    def factor(self) -> np.ndarray:
+        """A square root S of the shape matrix, Q = S S' (not always triangular)."""
+        return self._factor
+
+    def log_volume(self) -> float:
+        """log of pi^(d/2) / Gamma(d/2 + 1) * sqrt(det Q); finite at any d."""
+        return _log_unit_ball_volume(self.dim) + self._half_logdet
 
     def volume(self) -> float:
-        """pi^(d/2) / Gamma(d/2 + 1) * sqrt(det Q)."""
-        return unit_ball_volume(self.dim) * float(np.prod(np.diagonal(self._chol)))
+        """exp(log_volume()), or inf where that overflows."""
+        try:
+            return math.exp(self.log_volume())
+        except OverflowError:
+            return math.inf
 
     def support(self, direction) -> float:
         """Support function value u'q + sqrt(u'Qu).
@@ -96,7 +120,7 @@ class Ellipsoid:
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape[0] != self.dim:
             raise DimensionMismatch(f"point has dim {x.shape[0]}, ellipsoid has dim {self.dim}")
-        z = np.linalg.solve(self._chol, x - self.center)
+        z = np.linalg.solve(self._factor, x - self.center)
         return float(z @ z) <= 1.0 + MEMBERSHIP_TOL
 
     def sqrt_shape(self) -> np.ndarray:
@@ -150,17 +174,14 @@ class Ellipsoid:
         return f"Ellipsoid(center={self.center.tolist()}, shape={self.shape.tolist()})"
 
 
-def affine_image(ell: Ellipsoid, matrix, shift=None) -> Ellipsoid:
-    """Image of an ellipsoid under x -> F x + shift: E(Fq + shift, F Q F')."""
+def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
+    """Image of an ellipsoid under x -> F x: E(Fq, F Q F'), validated."""
     f = np.asarray(matrix, dtype=float)
     if f.ndim != 2 or f.shape[1] != ell.dim:
         raise DimensionMismatch(f"map shape {f.shape} incompatible with dim {ell.dim}")
-    s = np.zeros(f.shape[0]) if shift is None else np.asarray(shift, dtype=float).reshape(-1)
-    if s.shape[0] != f.shape[0]:
-        raise DimensionMismatch("shift length does not match the map's output dimension")
     new_shape = f @ ell.shape @ f.T
     try:
-        return Ellipsoid(center=f @ ell.center + s, shape=0.5 * (new_shape + new_shape.T))
+        return Ellipsoid(center=f @ ell.center, shape=0.5 * (new_shape + new_shape.T))
     except NotPositiveDefinite as exc:
         raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
 

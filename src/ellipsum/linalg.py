@@ -4,8 +4,6 @@ Each wrapper checks its output and turns LAPACK failures into the package's
 typed errors. Everything works on dense float64 numpy arrays.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite
@@ -13,17 +11,10 @@ from .errors import NoConvergence, NotPositiveDefinite
 SYMMETRY_RTOL = 1e-9
 
 
-class EigenDecomposition(NamedTuple):
-    """Spectral decomposition M = vectors @ diag(values) @ vectors.T."""
-
-    values: np.ndarray  # ascending
-    vectors: np.ndarray  # orthogonal, columns are eigenvectors
-
-
-def symmetrize(matrix, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def symmetrize(matrix) -> np.ndarray:
     """Validate and symmetrize a square matrix.
 
-    Asymmetry up to ``rtol`` (relative to the largest entry) is treated as
+    Asymmetry up to SYMMETRY_RTOL (relative to the largest entry) is treated as
     I/O roundoff and averaged away; anything larger is rejected as genuinely
     wrong input.
     """
@@ -36,7 +27,7 @@ def symmetrize(matrix, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     scale = np.max(np.abs(m))
     gap = np.max(np.abs(m - m.T))
-    if gap > rtol * max(scale, 1.0):
+    if gap > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric (asymmetry {gap:.3e}, scale {scale:.3e})")
     return 0.5 * (m + m.T)
 
@@ -80,11 +71,12 @@ def cholesky(matrix: np.ndarray) -> np.ndarray:
     return lower
 
 
-def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
-    """Full spectral decomposition of a symmetric matrix, eigenvalues ascending.
+def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition M = vectors @ diag(values) @ vectors.T.
 
-    Deterministic for identical input. Backed by LAPACK's symmetric
-    eigensolver, which is exact enough for the small dimensions used here.
+    Returns the plain tuple ``(values, vectors)``: eigenvalues ascending,
+    orthonormal eigenvectors as columns. Deterministic for identical input.
+    Backed by LAPACK's symmetric eigensolver.
     """
     m = np.asarray(matrix, dtype=float)
     try:
@@ -93,4 +85,4 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
         raise NoConvergence("symmetric eigensolver produced non-finite output")
-    return EigenDecomposition(values=values, vectors=vectors)
+    return values, vectors

@@ -136,11 +136,7 @@ def q_of_direction(shapes, direction) -> np.ndarray:
         raise EmptyInput("need at least one shape matrix")
     u = unit_direction(direction)
     roots = [math.sqrt(u @ q @ u) for q in mats]
-    total = sum(roots)
-    out = np.zeros_like(mats[0])
-    for q, r in zip(mats, roots):
-        out += q / r
-    return total * out
+    return sum(roots) * sum(q / r for q, r in zip(mats, roots))
 
 def q_of_alpha(shapes, alpha) -> np.ndarray:
     """Weight-parameterized outer shape sum_k Q_k / alpha_k.
@@ -153,29 +149,18 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
         raise InvalidWeights(f"{len(mats)} shapes but {w.shape[0]} weights")
     if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidWeights("weights must be strictly positive and sum to 1")
-    out = np.zeros_like(mats[0])
-    for q, a in zip(mats, w):
-        out += q / a
-    return out
+    return sum(q / a for q, a in zip(mats, w))
 
 
-def transform_direction_to_beta(Q1, Q2, direction) -> float:
-    """Map a parameterizing direction to the equivalent scalar parameter.
-
-    beta = sqrt(l'Q1 l / l'Q2 l); substituting it into ``q_of_beta``
-    reproduces ``q_of_direction([Q1, Q2], l)`` entrywise.
-    """
-    a, b = _check_pair(Q1, Q2)
-    u = unit_direction(direction)
-    return math.sqrt((u @ a @ u) / (u @ b @ u))
-
-
-def _spectrum_from_factor(L1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    w = np.linalg.solve(L1, np.linalg.solve(L1, Q2).T)
-    values = linalg.sym_eig(0.5 * (w + w.T)).values
+def _whitened_eig(factor: np.ndarray, Q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (l, V) of S^{-1} Q2 S^{-T}, S a square root of Q1; l is the
+    spectrum of Q1^{-1} Q2."""
+    s_inv = np.linalg.inv(factor)
+    w = s_inv @ Q2 @ s_inv.T
+    values, vectors = linalg.sym_eig(0.5 * (w + w.T))
     if values[0] <= 0.0:
         raise NotPositiveDefinite(0, "second shape matrix is not positive definite")
-    return values
+    return values, vectors
 
 
 def generalized_spectrum(Q1, Q2) -> np.ndarray:
@@ -186,7 +171,7 @@ def generalized_spectrum(Q1, Q2) -> np.ndarray:
     symmetric and well conditioned.
     """
     a, b = _check_pair(Q1, Q2)
-    return _spectrum_from_factor(linalg.cholesky(a), b)
+    return _whitened_eig(linalg.cholesky(a), b)[0]
 
 
 def optimality_residual(lam, beta: float) -> float:
@@ -404,12 +389,13 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     bisection (d = 2 only), the fixed-point iteration warm-started at the
     trace-optimal parameter, or the trace closed form itself (cheap,
     suboptimal in volume, still a guaranteed outer bound).
+    The output is SPD by construction and is not validated again.
     """
     opts = opts or SolverOptions()
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
     q1, q2 = e1.shape, e2.shape
-    lam = _spectrum_from_factor(e1.chol, q2)
+    lam, vectors = _whitened_eig(e1.factor, q2)
     method = _resolve_method(opts.method)
     if method == "newton":
         beta, iterations = solve_beta_newton(lam, opts)
@@ -421,8 +407,15 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
         beta, iterations = beta_trace_optimal(q1, q2), 0
     else:
         raise ValueError(f"unknown method {method!r}")
-    shape = q_of_beta(q1, q2, beta)
-    out = Ellipsoid(center=e1.center + e2.center, shape=shape)
+    # Q1 = S S' and S^{-1} Q2 S^{-T} = V diag(l) V' give Q(beta) = (S V G^{1/2})(S V G^{1/2})'
+    # and log det Q(beta) = log det Q1 + sum log g, with G = diag(g)
+    g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
+    out = Ellipsoid._trusted(
+        center=e1.center + e2.center,
+        shape=q_of_beta(q1, q2, beta),
+        factor=(e1.factor @ vectors) * np.sqrt(g),
+        half_logdet=e1._half_logdet + 0.5 * float(np.sum(np.log(g))),
+    )
     return MvoeResult(
         beta=beta,
         ellipsoid=out,

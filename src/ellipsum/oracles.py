@@ -11,11 +11,11 @@ the test suite and by the ``check`` CLI command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, unit_ball_volume
+from .ellipsoid import Ellipsoid, _log_unit_ball_volume
 from .mvoe import generalized_spectrum, logdet_curvature, optimality_residual, q_of_beta
 
 #: support-function slack for containment checks
@@ -30,10 +30,11 @@ STATIONARY_TOL = 1e-6
 #: central-difference step, relative to beta
 FD_REL_STEP = 1e-6
 
-#: multiple of the finite difference's roundoff estimate eps * cond(Q(beta)) / h
-#: that comparisons against it forgive; at solver roots |closed - fd| stayed
-#: below 4.4 times the estimate over 1700 pair steps at d = 2..12 with shape
-#: eigenvalues 10^U(-4.5, 4.5) and narrower
+#: multiple of the finite difference's roundoff estimate
+#: eps * (cond(Q(beta)) + sum_i |log s_i|) / h (s: singular values of Q(beta);
+#: the sum is the rounding of d logarithms) that comparisons against it
+#: forgive; at solver roots |closed - fd| stayed below 3.2 times the estimate
+#: over 1340 pair steps at d = 2..12 (eigenvalues 10^U(-4.5, 4.5)) and 50..200
 FD_ROUNDOFF_FACTOR = 16.0
 
 #: relative tolerance for the root-identity check
@@ -59,13 +60,7 @@ class CheckReport:
     details: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "samples": self.samples,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _logdet_q(Q1: np.ndarray, Q2: np.ndarray, beta: float) -> float:
@@ -80,8 +75,8 @@ def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
 
     A coarse log-spaced grid over [1e-6, 1e6] finds the minimizing cell;
     golden-section refinement inside the bracketing cell narrows it to width
-    ``tol``. Returns the minimizer and the volume of the corresponding outer
-    ellipsoid.
+    ``tol``. Returns the minimizer and the log-volume of the corresponding
+    outer ellipsoid, which stays finite where the volume overflows.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -110,9 +105,7 @@ def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
             d = lo + _GOLDEN * h
             fd = _logdet_q(a, b, d)
     beta_star = 0.5 * (lo + hi)
-    dim = a.shape[0]
-    volume = unit_ball_volume(dim) * math.exp(0.5 * _logdet_q(a, b, beta_star))
-    return beta_star, volume
+    return beta_star, _log_unit_ball_volume(a.shape[0]) + 0.5 * _logdet_q(a, b, beta_star)
 
 
 def sample_directions(dim: int, n_dirs: int, seed: int) -> np.ndarray:
@@ -178,11 +171,11 @@ def logdet_derivative(Q1, Q2, beta: float) -> float:
     return -float(np.trace(inner)) / (beta * (1.0 + beta))
 
 
-def logdet_derivative_fd(Q1, Q2, beta: float, rel_step: float = FD_REL_STEP) -> float:
-    """Central finite difference of log det Q(beta) with step rel_step * beta."""
+def logdet_derivative_fd(Q1, Q2, beta: float) -> float:
+    """Central finite difference of log det Q(beta) with step FD_REL_STEP * beta."""
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
-    h = rel_step * beta
+    h = FD_REL_STEP * beta
     return (_logdet_q(a, b, beta + h) - _logdet_q(a, b, beta - h)) / (2.0 * h)
 
 
@@ -195,8 +188,9 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     are below STATIONARY_TOL in magnitude, i.e. ``beta`` really is a
     stationary point. Agreement has an absolute floor for values near zero:
     1e-8, raised for the two comparisons with (b) to FD_ROUNDOFF_FACTOR
-    times its roundoff, eps * cond(Q(beta)) / h with step h. The magnitude
-    test forgives (b) the same roundoff floor.
+    times its roundoff, eps * (cond(Q(beta)) + sum_i |log s_i|) / h with
+    step h and s the singular values of Q(beta). The magnitude test forgives
+    (b) the same roundoff floor.
     """
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
@@ -206,7 +200,9 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     spectral = -optimality_residual(lam, beta) / (beta * (1.0 + beta))
 
     atol = 1e-8
-    fd_roundoff = np.finfo(float).eps * np.linalg.cond(q_of_beta(a, b, beta)) / (FD_REL_STEP * beta)
+    s = np.linalg.svd(q_of_beta(a, b, beta), compute_uv=False)
+    logdet_error = s[0] / s[-1] + float(np.sum(np.abs(np.log(s))))
+    fd_roundoff = np.finfo(float).eps * logdet_error / (FD_REL_STEP * beta)
     fd_atol = max(atol, FD_ROUNDOFF_FACTOR * fd_roundoff)
     triples = [(closed, fd, fd_atol), (closed, spectral, atol), (fd, spectral, fd_atol)]
     agree_excess = max(

@@ -61,10 +61,6 @@ class LtiStage:
     def n(self) -> int:
         return self.F.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.G.shape[1]
-
     def inverse(self) -> np.ndarray:
         """F^{-1}, read-only; raises SingularMap when F is numerically singular."""
         if "inverse" not in self._derived:

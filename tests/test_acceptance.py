@@ -60,7 +60,7 @@ def suite():
             e2 = Ellipsoid(rng.normal(size=dim), q2)
             auto = mvoe_pair(e1, e2)
             trace = mvoe_pair(e1, e2, SolverOptions(method="trace"))
-            _, gs_volume = golden_section_beta(q1, q2, tol=1e-9)
+            _, gs_log_volume = golden_section_beta(q1, q2, tol=1e-9)
             records.append(
                 {
                     "dim": dim,
@@ -69,7 +69,7 @@ def suite():
                     "lam": generalized_spectrum(q1, q2),
                     "auto": auto,
                     "trace": trace,
-                    "gs_volume": gs_volume,
+                    "gs_volume": math.exp(gs_log_volume),
                 }
             )
     elapsed = time.perf_counter() - start

@@ -23,6 +23,30 @@ def two_disk_problem():
     return {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(), disk_dict()]}
 
 
+def read_strict_json(path):
+    """Parse a result file, refusing the non-JSON tokens NaN and Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(open(path).read(), parse_constant=refuse)
+
+
+def large_pair_problem():
+    """d = 200, both shapes A A' + 200 I: sqrt(det) overflows a diagonal product."""
+    rng = np.random.default_rng(7)
+    dim = 200
+    parts = []
+    for _ in range(2):
+        a = rng.normal(size=(dim, dim))
+        parts.append({"center": [0.0] * dim, "shape": (a @ a.T + dim * np.eye(dim)).tolist()})
+    return {"version": "1", "dimension": dim, "ellipsoids": parts}
+
+
+def huge_ball_dict(dim=20, radius_sq=1e40):
+    return {"center": [0.0] * dim, "shape": (radius_sq * np.eye(dim)).tolist()}
+
+
 def scalar_reach_problem(mode="forward", steps=2, eps=0.0):
     stage = {
         "F": [[0.5]],
@@ -110,6 +134,30 @@ class TestSum:
         assert json.loads(open(out).read())["method"] == "fixed_point"
 
 
+    def test_large_pair_writes_finite_log_volume(self, tmp_path):
+        problem = large_pair_problem()
+        inp = write_problem(tmp_path / "p.json", problem)
+        out = str(tmp_path / "r.json")
+        assert main(["sum", inp, out]) == 0
+        result = read_strict_json(out)
+        shape = np.array(result["ellipsoid"]["shape"])
+        _, logdet = np.linalg.slogdet(shape)
+        expected = 100.0 * math.log(math.pi) - math.lgamma(101.0) + 0.5 * logdet
+        assert abs(result["log_volume"] - expected) <= 1e-10 * abs(expected)
+        assert abs(result["volume"] - math.exp(expected)) <= 1e-9 * math.exp(expected)
+
+    def test_overflowing_volume_is_null(self, tmp_path):
+        problem = {"version": "1", "dimension": 20, "ellipsoids": [huge_ball_dict(), huge_ball_dict()]}
+        inp = write_problem(tmp_path / "p.json", problem)
+        out = str(tmp_path / "r.json")
+        assert main(["sum", inp, out]) == 0
+        result = read_strict_json(out)
+        assert result["volume"] is None
+        # the sum is the ball of squared radius 4e40
+        expected = 10.0 * math.log(math.pi) - math.lgamma(11.0) + 10.0 * math.log(4e40)
+        assert abs(result["log_volume"] - expected) <= 1e-12 * expected
+
+
 class TestReach:
     def test_documented_scalar_tube(self, tmp_path):
         inp = write_problem(tmp_path / "p.json", scalar_reach_problem())
@@ -146,6 +194,18 @@ class TestReach:
     def test_missing_scenario_exits_2(self, tmp_path):
         inp = write_problem(tmp_path / "p.json", two_disk_problem())
         assert main(["reach", inp, str(tmp_path / "r.json")]) == 2
+
+    def test_overflowing_volumes_are_null(self, tmp_path):
+        stage = {"F": np.eye(20).tolist(), "G": np.eye(20).tolist(), "input": huge_ball_dict()}
+        scenario = {"mode": "forward", "initial": huge_ball_dict(), "stages": [stage], "eps": 0.0}
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 20, "scenario": scenario})
+        out = str(tmp_path / "r.json")
+        assert main(["reach", inp, out]) == 0
+        result = read_strict_json(out)
+        assert result["volumes"] == [None, None]
+        ball = 10.0 * math.log(math.pi) - math.lgamma(11.0)
+        expected = [ball + 10.0 * math.log(1e40), ball + 10.0 * math.log(4e40)]
+        assert np.allclose(result["log_volumes"], expected, rtol=1e-12, atol=0.0)
 
 
 class TestBoundary:
@@ -261,6 +321,12 @@ class TestCheck:
         inp = write_problem(tmp_path / "p.json", problem)
         assert main(["check", inp]) == 2
         assert "claim.beta" in capsys.readouterr().err
+
+    def test_large_pair_passes(self, tmp_path, capsys):
+        inp = write_problem(tmp_path / "p.json", large_pair_problem())
+        assert main(["check", inp, "--directions", "200"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(r["passed"] for r in report["reports"])
 
     def test_byte_identical_output_for_same_seed(self, tmp_path, capsys):
         rng = np.random.default_rng(116)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ellipsum
 from conftest import random_ellipsoid, spd_matrix
 from ellipsum import (
     DimensionMismatch,
@@ -29,10 +30,11 @@ from ellipsum import (
     solve_beta_bisection,
     solve_beta_fixed_point,
     solve_beta_newton,
-    transform_direction_to_beta,
     unit_ball_volume,
     unit_direction,
 )
+from ellipsum import linalg
+from ellipsum.ellipsoid import MEMBERSHIP_TOL
 
 
 def planar_cubic(l1, l2, beta):
@@ -95,16 +97,10 @@ class TestParameterizations:
         for _ in range(20):
             q1, q2 = spd_matrix(rng, 4), spd_matrix(rng, 4)
             u = unit_direction(rng.normal(size=4))
-            beta = transform_direction_to_beta(q1, q2, u)
+            beta = math.sqrt((u @ q1 @ u) / (u @ q2 @ u))
             a = q_of_direction([q1, q2], u)
             b = q_of_beta(q1, q2, beta)
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(a)))
-
-    def test_transform_trivial_cases(self):
-        q = spd_matrix(np.random.default_rng(62), 3)
-        assert abs(transform_direction_to_beta(q, q, [1.0, 2.0, -1.0]) - 1.0) < 1e-12
-        val = transform_direction_to_beta(np.diag([4.0, 1.0]), np.eye(2), [1.0, 0.0])
-        assert abs(val - 2.0) < 1e-15
 
     def test_q_of_alpha_trivial(self):
         out = q_of_alpha([np.eye(2), np.eye(2)], [0.5, 0.5])
@@ -425,8 +421,8 @@ class TestMvoePair:
         for _ in range(10):
             e1, e2 = random_ellipsoid(rng, dim), random_ellipsoid(rng, dim)
             result = mvoe_pair(e1, e2)
-            _, oracle_volume = golden_section_beta(e1.shape, e2.shape, 1e-9)
-            assert abs(result.volume - oracle_volume) / oracle_volume < 1e-8
+            _, oracle_log_volume = golden_section_beta(e1.shape, e2.shape, 1e-9)
+            assert abs(result.ellipsoid.log_volume() - oracle_log_volume) < 1e-8
 
     def test_methods_agree_in_2d(self):
         rng = np.random.default_rng(68)
@@ -536,6 +532,62 @@ class TestMvoeSum:
     def test_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             mvoe_sum([Ellipsoid(np.zeros(2), np.eye(2)), Ellipsoid(np.zeros(3), np.eye(3))])
+
+
+class TestTrustedOutputs:
+    """mvoe_pair builds its output from the factor and spectrum it already
+    has, without validating it again."""
+
+    @pytest.mark.parametrize("dim", [2, 6, 20])
+    def test_long_fold_keeps_factor_log_volume_and_beta(self, dim):
+        # each output whitens the next step, so a carried non-triangular
+        # factor must not drift from the shape it stands for
+        rng = np.random.default_rng(1200 + dim)
+        log_ball = math.log(unit_ball_volume(dim))
+        acc = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
+        worst_factor = worst_log_volume = worst_beta = 0.0
+        for _ in range(1000):
+            nxt = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
+            result = mvoe_pair(acc, nxt)
+            refactorized = mvoe_pair(Ellipsoid(acc.center, acc.shape), nxt)
+            out = result.ellipsoid
+            s = out.factor
+            worst_factor = max(worst_factor, np.linalg.norm(s @ s.T - out.shape) / np.linalg.norm(out.shape))
+            _, logdet = np.linalg.slogdet(out.shape)
+            expected = log_ball + 0.5 * logdet
+            worst_log_volume = max(worst_log_volume, abs(out.log_volume() - expected) / max(1.0, abs(expected)))
+            worst_beta = max(worst_beta, abs(result.beta - refactorized.beta) / refactorized.beta)
+            acc = out
+        assert worst_factor <= 1e-10
+        assert worst_log_volume <= 1e-10
+        assert worst_beta <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_membership_agrees_with_cholesky(self, dim):
+        rng = np.random.default_rng(1210 + dim)
+        result, _ = mvoe_sum([random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0) for _ in range(8)])
+        out = result.ellipsoid
+        assert np.any(np.triu(out.factor, 1) != 0.0)  # not a Cholesky factor
+        lower = np.linalg.cholesky(out.shape)
+        for radius in (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0):
+            for _ in range(50):
+                x = out.center + radius * (lower @ unit_direction(rng.normal(size=dim)))
+                z = np.linalg.solve(lower, x - out.center)
+                assert out.contains_point(x) == bool(z @ z <= 1.0 + MEMBERSHIP_TOL)
+
+    def test_outputs_are_not_validated_again(self, monkeypatch):
+        rng = np.random.default_rng(1220)
+        parts = [random_ellipsoid(rng, 3) for _ in range(4)]
+        calls = []
+        for name in ("cholesky", "symmetrize"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda m, real=real, name=name: calls.append(name) or real(m))
+        mvoe_sum(parts)
+        assert calls == []
+
+    def test_trusted_constructor_is_not_exported(self):
+        assert "_trusted" not in ellipsum.__all__
+        assert not any(name.startswith("_") for name in ellipsum.__all__)
 
 
 class TestSolverOptions:

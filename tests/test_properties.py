@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_ellipsoid, spd_matrix
 from ellipsum import (
@@ -17,7 +17,6 @@ from ellipsum import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
-    transform_direction_to_beta,
     unit_direction,
 )
 from ellipsum.linalg import cholesky, sym_eig
@@ -46,7 +45,7 @@ def test_eigendecomposition_invariants(dim, seed):
 def test_det_consistency(dim, seed):
     m = spd_matrix(np.random.default_rng(seed), dim)
     det = float(np.prod(np.diagonal(cholesky(m)))) ** 2
-    prod = float(np.prod(sym_eig(m).values))
+    prod = float(np.prod(sym_eig(m)[0]))
     assert abs(det - prod) <= 1e-10 * abs(prod)
 
 
@@ -59,6 +58,7 @@ def test_support_dominates_center_projection(dim, seed):
 
 
 @given(st.integers(min_value=2, max_value=5), seeds)
+@example(dim=2, seed=233)  # cond(f) = 2.6e4: relative error 1.6e-8
 def test_affine_volume_scaling(dim, seed):
     rng = np.random.default_rng(seed)
     e = random_ellipsoid(rng, dim, log_lo=-1.0, log_hi=1.0)
@@ -67,7 +67,12 @@ def test_affine_volume_scaling(dim, seed):
     if det < 1e-6:
         return
     image = affine_image(e, f)
-    assert abs(image.volume() - det * e.volume()) <= 1e-9 * det * e.volume()
+    # the image's log-det comes from factoring F Q F', whose condition number
+    # is at most cond(f)^2 cond(Q), and loses about eps times that; det(f)
+    # from LU loses about eps * cond(f)
+    cond_f = np.linalg.cond(f)
+    tol = 1e-9 + 16.0 * np.finfo(float).eps * (cond_f**2 * np.linalg.cond(e.shape) + cond_f)
+    assert abs(image.volume() - det * e.volume()) <= tol * det * e.volume()
 
 
 @given(st.integers(min_value=1, max_value=6), seeds, betas)
@@ -97,7 +102,7 @@ def test_parameterization_equivalences(dim, seed):
     rng = np.random.default_rng(seed)
     q1, q2 = spd_matrix(rng, dim), spd_matrix(rng, dim)
     u = unit_direction(rng.normal(size=dim))
-    beta = transform_direction_to_beta(q1, q2, u)
+    beta = math.sqrt((u @ q1 @ u) / (u @ q2 @ u))
     direct = q_of_direction([q1, q2], u)
     via_beta = q_of_beta(q1, q2, beta)
     scale = np.max(np.abs(direct))
