@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class SolverOptions:
             raise ValueError("max_iterations must be at least 1")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+
+
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,6 +286,18 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     return 0.5 * (lo + hi), iterations
 
 
+def _residual_and_slope(values: list[float], beta: float) -> tuple[float, float]:
+    """Optimality residual r(beta) and -dr/dbeta, in one pass over Python floats."""
+    r = 0.0
+    slope = 0.0  # -dr/dbeta = sum l (1 + 2 beta + beta^2 l) / (1 + beta l)^2
+    for value in values:
+        scaled = beta * value
+        inv = 1.0 / (1.0 + scaled)
+        r += (1.0 - beta * scaled) * inv
+        slope += value * (1.0 + 2.0 * beta + beta * scaled) * inv * inv
+    return r, slope
+
+
 def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, int]:
     """Safeguarded Newton iteration for the root, in t = log beta.
 
@@ -294,10 +310,13 @@ def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, in
     eigenvalues) returns lambda^{-1/2} after 0 iterations. Returns beta and
     the number of residual evaluations.
     """
-    opts = opts or SolverOptions()
     values = np.asarray(lam, dtype=float).reshape(-1).tolist()
     if not values or min(values) <= 0.0:
         raise ValueError("spectrum must be a nonempty array of positive values")
+    return _newton(values, opts or _DEFAULT_OPTIONS)
+
+
+def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     l_min, l_max = min(values), max(values)
     if l_min == l_max:
         return 1.0 / math.sqrt(l_min), 0
@@ -305,13 +324,7 @@ def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, in
     t = 0.5 * (lo + hi)
     for iteration in range(1, opts.max_iterations + 1):
         beta = math.exp(t)
-        r = 0.0
-        slope = 0.0  # -dr/dbeta = sum l (1 + 2 beta + beta^2 l) / (1 + beta l)^2
-        for value in values:
-            scaled = beta * value
-            inv = 1.0 / (1.0 + scaled)
-            r += (1.0 - beta * scaled) * inv
-            slope += value * (1.0 + 2.0 * beta + beta * scaled) * inv * inv
+        r, slope = _residual_and_slope(values, beta)
         if r == 0.0:
             return beta, iteration
         if r > 0.0:
@@ -380,6 +393,69 @@ def _resolve_method(method: str) -> str:
     return "newton" if method == "auto" else method
 
 
+class _PairParts(NamedTuple):
+    """One pair step's outer ellipsoid in parts, with the record of its solve."""
+
+    center: np.ndarray
+    shape: np.ndarray
+    factor: np.ndarray  # a square root of shape
+    half_logdet: float  # 1/2 log det shape
+    beta: float
+    iterations: int
+    residual: float  # |optimality residual| at the returned beta
+
+
+def _pair_parts(
+    center1, q1, factor1, half_logdet1: float, e2: Ellipsoid, opts: SolverOptions | None = None
+) -> _PairParts:
+    """The pair step on a first operand given as parts: its center, its SPD
+    shape ``q1``, a square root ``factor1`` of it and 1/2 log det ``q1``.
+
+    Nothing is validated here; callers hand over validated ellipsoids or
+    values that are SPD by construction. With q1 = S S' and
+    S^{-1} Q2 S^{-T} = V diag(l) V', the output is Q(beta) =
+    (S V G^{1/2})(S V G^{1/2})' with log det Q(beta) = log det Q1 + sum log g,
+    G = diag(g), g = (1 + 1/beta) + (1 + beta) l.
+    """
+    opts = opts or _DEFAULT_OPTIONS
+    q2 = e2.shape
+    lam, vectors = _whitened_eig(factor1, q2)
+    values = lam.tolist()
+    method = _resolve_method(opts.method)
+    if method == "newton":
+        beta, iterations = _newton(values, opts)
+    elif method == "bisection":
+        beta, iterations = solve_beta_bisection(lam, opts)
+    elif method == "fixed_point":
+        beta, iterations = solve_beta_fixed_point(lam, beta_trace_optimal(q1, q2), opts)
+    elif method == "trace":
+        beta, iterations = beta_trace_optimal(q1, q2), 0
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
+    return _PairParts(
+        center=center1 + e2.center,
+        shape=(1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2,  # q_of_beta, unchecked
+        factor=(factor1 @ vectors) * np.sqrt(g),
+        half_logdet=half_logdet1 + 0.5 * float(np.sum(np.log(g))),
+        beta=beta,
+        iterations=iterations,
+        residual=abs(_residual_and_slope(values, beta)[0]),
+    )
+
+
+def _result(parts: _PairParts, opts: SolverOptions) -> MvoeResult:
+    out = Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
+    return MvoeResult(
+        beta=parts.beta,
+        ellipsoid=out,
+        volume=out.volume(),
+        method=_resolve_method(opts.method),
+        iterations=parts.iterations,
+        residual=parts.residual,
+    )
+
+
 def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -> MvoeResult:
     """Minimum-volume outer ellipsoid of the Minkowski sum of two ellipsoids,
     within the one-parameter outer family.
@@ -391,51 +467,23 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     suboptimal in volume, still a guaranteed outer bound).
     The output is SPD by construction and is not validated again.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
-    q1, q2 = e1.shape, e2.shape
-    lam, vectors = _whitened_eig(e1.factor, q2)
-    method = _resolve_method(opts.method)
-    if method == "newton":
-        beta, iterations = solve_beta_newton(lam, opts)
-    elif method == "bisection":
-        beta, iterations = solve_beta_bisection(lam, opts)
-    elif method == "fixed_point":
-        beta, iterations = solve_beta_fixed_point(lam, beta_trace_optimal(q1, q2), opts)
-    elif method == "trace":
-        beta, iterations = beta_trace_optimal(q1, q2), 0
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # Q1 = S S' and S^{-1} Q2 S^{-T} = V diag(l) V' give Q(beta) = (S V G^{1/2})(S V G^{1/2})'
-    # and log det Q(beta) = log det Q1 + sum log g, with G = diag(g)
-    g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
-    out = Ellipsoid._trusted(
-        center=e1.center + e2.center,
-        shape=q_of_beta(q1, q2, beta),
-        factor=(e1.factor @ vectors) * np.sqrt(g),
-        half_logdet=e1._half_logdet + 0.5 * float(np.sum(np.log(g))),
-    )
-    return MvoeResult(
-        beta=beta,
-        ellipsoid=out,
-        volume=out.volume(),
-        method=method,
-        iterations=iterations,
-        residual=abs(optimality_residual(lam, beta)),
-    )
+    return _result(_pair_parts(e1.center, e1.shape, e1.factor, e1._half_logdet, e2, opts), opts)
 
 
 def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult, list[float]]:
     """Outer ellipsoid of the Minkowski sum of K ellipsoids by a left fold.
 
-    Folds in input order: acc <- mvoe_pair(acc, E_k). The fold order is
-    significant for the quality of the K > 2 approximation and is kept as
-    given. Returns the final pair result together with every intermediate
-    beta (empty for K = 1, where the input is returned unchanged with a
-    neutral result record).
+    Folds in input order: acc <- mvoe_pair(acc, E_k), with the intermediate
+    outer ellipsoids carried as parts and only the final one built. The fold
+    order is significant for the quality of the K > 2 approximation and is
+    kept as given. Returns the final pair result together with every
+    intermediate beta (empty for K = 1, where the input is returned
+    unchanged with a neutral result record).
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     items = list(ellipsoids)
     if not items:
         raise EmptyInput("need at least one ellipsoid")
@@ -453,11 +501,11 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
             residual=0.0,
         )
         return result, []
+    first = items[0]
+    acc = (first.center, first.shape, first.factor, first._half_logdet)
     betas: list[float] = []
-    acc = items[0]
-    result = None
     for nxt in items[1:]:
-        result = mvoe_pair(acc, nxt, opts)
-        betas.append(result.beta)
-        acc = result.ellipsoid
-    return result, betas
+        parts = _pair_parts(*acc, nxt, opts)
+        betas.append(parts.beta)
+        acc = parts[:4]
+    return _result(parts, opts), betas

@@ -9,6 +9,14 @@ ellipsoids by its minimum-volume outer approximation:
 The backward recursion mirrors this with the maps F^{-1} and -F^{-1} G.
 Rank-deficient input images G Q G' (tall G) are regularized through
 ``lift_degenerate``; pass eps = 0 for well-posed inputs to keep steps exact.
+
+Each step maps the state's shape once, q = M Q M' with M = F forward or the
+stage's F^{-1} backward, and factors q once by Cholesky. That factor and its
+log-determinant go straight into the pair step, so no intermediate ellipsoid
+is built or validated; only the tube entry is stored, and it is SPD by
+construction. The input images are validated once per stage. Each step
+factors its mapped state afresh instead of carrying an inverse factor from
+the previous step, which would drift from the shape it stands for.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _freeze, affine_image, lift_degenerate
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
-from .mvoe import SolverOptions, mvoe_pair
+from .ellipsoid import Ellipsoid, _freeze, lift_degenerate
+from .errors import DimensionMismatch, EllipsumError, NotPositiveDefinite, SingularMap
+from .mvoe import SolverOptions, _pair_parts
 
 #: default regularization for degenerate input images
 DEFAULT_EPS = 1e-9
@@ -107,15 +115,39 @@ class ReachTube:
         return [e.volume() for e in self.stages]
 
 
+def _mapped(state: Ellipsoid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """E(M q, M Q M') in the parts the pair step takes: center, shape, its
+    Cholesky factor and 1/2 log det. Factored once and not validated; an
+    image that does not factor raises SingularMap, or EllipsumError when it
+    overflowed."""
+    q = m @ state.shape @ m.T
+    q = 0.5 * (q + q.T)
+    try:
+        lower = linalg.cholesky(q)
+    except NotPositiveDefinite as exc:
+        if not np.all(np.isfinite(q)):
+            raise EllipsumError("image shape matrix has non-finite entries (the tube overflowed)") from exc
+        raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
+    return m @ state.center, q, lower, float(np.sum(np.log(np.diagonal(lower))))
+
+
+def _outer(mapped: tuple, driven: Ellipsoid, opts: SolverOptions | None) -> Ellipsoid:
+    parts = _pair_parts(*mapped, driven, opts)
+    return Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
+
+
 def step_forward(
     state: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
 ) -> Ellipsoid:
-    """One forward step: outer ellipsoid of F.state (+) G.input_set."""
+    """One forward step: outer ellipsoid of F.state (+) G.input_set.
+
+    F Q F' is symmetrized and factored once (one Cholesky per step) and is
+    not validated again; a singular image raises SingularMap.
+    """
     if state.dim != stage.n:
         raise DimensionMismatch(f"state has dim {state.dim}, stage expects {stage.n}")
-    mapped = affine_image(state, stage.F)
-    driven = stage.input_image(eps)
-    return mvoe_pair(mapped, driven, opts).ellipsoid
+    mapped = _mapped(state, stage.F)
+    return _outer(mapped, stage.input_image(eps), opts)
 
 
 def propagate_forward(
@@ -155,13 +187,13 @@ def step_backward(
     """One backward step: outer ellipsoid of F^{-1}.terminal (+) (-F^{-1}G).input_set.
 
     Requires a nonsingular F; near-singularity is detected through the
-    explicit inverse residual.
+    explicit inverse residual, once per stage. F^{-1} Q F^{-T} is symmetrized
+    and factored once (one Cholesky per step) and is not validated again.
     """
     if terminal.dim != stage.n:
         raise DimensionMismatch(f"terminal set has dim {terminal.dim}, stage expects {stage.n}")
-    mapped = affine_image(terminal, stage.inverse())
-    driven = stage.input_image(eps, backward=True)
-    return mvoe_pair(mapped, driven, opts).ellipsoid
+    mapped = _mapped(terminal, stage.inverse())
+    return _outer(mapped, stage.input_image(eps, backward=True), opts)
 
 
 def propagate_backward(

@@ -191,6 +191,16 @@ class TestReach:
         inp = write_problem(tmp_path / "p.json", problem)
         assert main(["reach", inp, str(tmp_path / "r.json")]) == 4
 
+    def test_forward_singular_image_exits_3_without_output(self, tmp_path, capsys):
+        stage = {"F": [[1.0, 0.0], [1.0, 0.0]], "G": np.eye(2).tolist(), "input": disk_dict()}
+        scenario = {"mode": "forward", "initial": disk_dict(), "stages": [stage]}
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 2, "scenario": scenario})
+        out = tmp_path / "r.json"
+        assert main(["reach", inp, str(out)]) == 3
+        assert "not positive definite" in capsys.readouterr().err
+        assert not out.exists()
+        assert os.listdir(tmp_path) == ["p.json"]
+
     def test_missing_scenario_exits_2(self, tmp_path):
         inp = write_problem(tmp_path / "p.json", two_disk_problem())
         assert main(["reach", inp, str(tmp_path / "r.json")]) == 2
@@ -307,6 +317,16 @@ class TestCheck:
             "consistency",
             "volume_agreement",
         ]
+
+    def test_extreme_scale_pair_passes(self, tmp_path, capsys):
+        # beta = 9.1e-9 and supports near 1e8: an absolute containment slack
+        # and a search grid clamped to [1e-6, 1e6] both failed this answer
+        big = disk_dict(shape=((1e16, 0.0), (0.0, 3e16)))
+        problem = {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(shape=((1.0, 0.0), (0.0, 2.0))), big]}
+        inp = write_problem(tmp_path / "p.json", problem)
+        assert main(["check", inp]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(r["passed"] for r in report["reports"])
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, "abc"])
     def test_invalid_claim_beta_exits_2(self, tmp_path, capsys, beta):

@@ -483,6 +483,24 @@ class TestMvoePair:
             mvoe_pair(Ellipsoid(np.zeros(2), np.eye(2)), Ellipsoid(np.zeros(3), np.eye(3)))
 
 
+class TestReportedResidual:
+    @pytest.mark.parametrize("method", ["auto", "bisection", "fixed_point", "trace"])
+    def test_matches_numpy_residual_at_returned_beta(self, method):
+        # the solve reports |r(beta)| from its own scalar loop; it must agree
+        # with the public numpy evaluation at the beta it returns
+        rng = np.random.default_rng(1230)
+        opts = SolverOptions(method=method)
+        worst = 0.0
+        for _ in range(500):
+            dim = 2 if method == "bisection" else int(rng.integers(1, 11))
+            e1 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
+            e2 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
+            result = mvoe_pair(e1, e2, opts)
+            expected = abs(optimality_residual(generalized_spectrum(e1.shape, e2.shape), result.beta))
+            worst = max(worst, abs(result.residual - expected) / (1.0 + expected))
+        assert worst <= 1e-12
+
+
 class TestMvoeSum:
     def test_single_input_returned_unchanged(self):
         e = Ellipsoid([1.0, 2.0], np.diag([2.0, 3.0]))
@@ -524,6 +542,21 @@ class TestMvoeSum:
         result, _ = mvoe_sum(parts)
         expected = parts[0].center + parts[1].center + parts[2].center + parts[3].center
         assert np.array_equal(result.ellipsoid.center, expected)
+
+    def test_fold_matches_chained_pair_solves(self):
+        rng = np.random.default_rng(77)
+        parts = [random_ellipsoid(rng, 4, log_lo=-3.0, log_hi=3.0) for _ in range(6)]
+        result, betas = mvoe_sum(parts)
+        acc, chained = parts[0], []
+        for nxt in parts[1:]:
+            step = mvoe_pair(acc, nxt)
+            chained.append(step.beta)
+            acc = step.ellipsoid
+        assert betas == chained
+        assert np.array_equal(result.ellipsoid.shape, acc.shape)
+        assert np.array_equal(result.ellipsoid.factor, acc.factor)
+        assert result.ellipsoid.log_volume() == acc.log_volume()
+        assert (result.iterations, result.residual) == (step.iterations, step.residual)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):

@@ -49,6 +49,18 @@ class TestGoldenSection:
             _, log_volume = golden_section_beta(e1.shape, e2.shape, 1e-9)
             assert abs(result.ellipsoid.log_volume() - log_volume) < 1e-8
 
+    def test_finds_minimizer_far_outside_unit_scale(self):
+        # the spectral bracket of diag(1, 2) against 1e16 diag(1, 3) is
+        # [5.8e-9, 1e-8]: the search works in log beta over it at any scale.
+        # log det Q(beta) varies by only ~1e-8 across it, so roundoff blurs
+        # the minimizer's location, but not the minimum
+        q1, q2 = np.diag([1.0, 2.0]), 1e16 * np.diag([1.0, 3.0])
+        beta_gs, log_volume = golden_section_beta(q1, q2, 1e-9)
+        result = mvoe_pair(Ellipsoid(np.zeros(2), q1), Ellipsoid(np.zeros(2), q2))
+        assert 3e16 ** -0.5 <= beta_gs <= 1e-8
+        assert abs(beta_gs - result.beta) <= 1e-2 * result.beta
+        assert abs(log_volume - result.ellipsoid.log_volume()) < 1e-8
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             golden_section_beta(np.eye(2), np.eye(2), 0.0)
@@ -78,6 +90,20 @@ class TestContainment:
         assert report.passed
         # worst violation is the slack-shifted value; raw violation is ~0
         assert abs(report.worst_violation + 1e-9) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e16])
+    def test_slack_follows_support_magnitude(self, scale):
+        # a solver answer passes at every scale; shrinking it by 1e-6
+        # relative fails at every scale (below unit supports the slack keeps
+        # its absolute floor of 1e-9)
+        rng = np.random.default_rng(89)
+        parts = [Ellipsoid(math.sqrt(scale) * rng.normal(size=3), scale * spd_matrix(rng, 3)) for _ in range(2)]
+        outer = mvoe_pair(parts[0], parts[1]).ellipsoid
+        assert containment_check(outer, parts, n_dirs=500, seed=4).passed
+        shrunk = Ellipsoid(outer.center, (1.0 - 1e-6) * outer.shape)
+        report = containment_check(shrunk, parts, n_dirs=500, seed=4)
+        assert not report.passed
+        assert report.worst_violation > 0.0
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(84)

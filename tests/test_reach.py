@@ -5,14 +5,17 @@ from conftest import random_ellipsoid, spd_matrix
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
+    EllipsumError,
     LtiStage,
     ReachTube,
     SingularMap,
     containment_check,
+    mvoe_pair,
     propagate_backward,
     propagate_forward,
     step_backward,
     step_forward,
+    unit_ball_volume,
 )
 from ellipsum.ellipsoid import affine_image, lift_degenerate
 
@@ -244,3 +247,111 @@ class TestStageReuse:
         for a in (stage.F, stage.G, stage.inverse()):
             with pytest.raises(ValueError):
                 a[0, 0] = 2.0
+
+
+class TestSingularImage:
+    def test_forward_rank_deficient_map_raises(self):
+        # F Q F' = [[1, 1], [1, 1]] for Q = I: the factorization fails at pivot 1
+        stage = LtiStage(F=[[1.0, 0.0], [1.0, 0.0]], G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
+        with pytest.raises(SingularMap, match=r"image shape matrix is not positive definite.*\(pivot 1\)"):
+            propagate_forward(Ellipsoid(np.zeros(2), np.eye(2)), [stage])
+
+    def test_overflowing_tube_is_not_reported_singular(self):
+        stage = LtiStage(F=1e100 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EllipsumError, match="non-finite") as info:
+                propagate_forward(Ellipsoid(np.zeros(2), np.eye(2)), [stage] * 5)
+        assert not isinstance(info.value, SingularMap)
+
+
+def tall_stage(rng, n: int, m: int, low: float, high: float) -> LtiStage:
+    """F with singular values in [low, high] and a tall random G."""
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return LtiStage(
+        F=frame * rng.uniform(low, high, n),
+        G=rng.normal(size=(n, m)) / np.sqrt(n),
+        input_set=random_ellipsoid(rng, m),
+    )
+
+
+def recording_kernel(monkeypatch):
+    """Record the beta of every pair step the reach module takes."""
+    from ellipsum import reach
+
+    betas = []
+    kernel = reach._pair_parts
+
+    def recording(*args):
+        parts = kernel(*args)
+        betas.append(parts.beta)
+        return parts
+
+    monkeypatch.setattr(reach, "_pair_parts", recording)
+    return betas
+
+
+class TestLongTubes:
+    """Each step factors its mapped state afresh; over 1000 steps the stored
+    factor, log-volume and every beta must stay on a validated reference."""
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_thousand_steps_stay_on_reference(self, monkeypatch, dim, backward):
+        rng = np.random.default_rng(1300 + dim + 10 * backward)
+        log_ball = np.log(unit_ball_volume(dim))
+        # spectral radius <= 0.9 of F forward and of F^{-1} backward
+        low, high = (1.0 / 0.9, 2.0) if backward else (0.5, 0.9)
+        stages = [tall_stage(rng, dim, 2, low, high) for _ in range(10)] * 100
+        x0 = random_ellipsoid(rng, dim)
+        betas = recording_kernel(monkeypatch)
+        if backward:
+            tube = propagate_backward(x0, stages, eps=1e-9)
+            maps = [(s.inverse(), s.input_image(1e-9, backward=True)) for s in reversed(stages)]
+        else:
+            tube = propagate_forward(x0, stages, eps=1e-9)
+            maps = [(s.F, s.input_image(1e-9)) for s in stages]
+        assert len(betas) == 1000
+        worst_factor = worst_log_volume = worst_beta = 0.0
+        for k, (m, driven) in enumerate(maps):
+            prev, out = tube[k], tube[k + 1]
+            s = out.factor
+            worst_factor = max(worst_factor, np.linalg.norm(s @ s.T - out.shape) / np.linalg.norm(out.shape))
+            expected = log_ball + 0.5 * np.linalg.slogdet(out.shape)[1]
+            worst_log_volume = max(worst_log_volume, abs(out.log_volume() - expected) / max(1.0, abs(expected)))
+            reference = mvoe_pair(Ellipsoid(m @ prev.center, m @ prev.shape @ m.T), driven)
+            worst_beta = max(worst_beta, abs(betas[k] - reference.beta) / reference.beta)
+        assert worst_factor <= 1e-10
+        assert worst_log_volume <= 1e-10
+        assert worst_beta <= 1e-10
+
+
+class TestStepsDoNotValidate:
+    def test_validation_only_for_input_images(self, monkeypatch):
+        from ellipsum import linalg
+
+        calls = {"construct": 0, "symmetrize": 0}
+        construct, symmetrize = Ellipsoid.__post_init__, linalg.symmetrize
+
+        def counting_construct(self):
+            calls["construct"] += 1
+            construct(self)
+
+        def counting_symmetrize(m):
+            calls["symmetrize"] += 1
+            return symmetrize(m)
+
+        rng = np.random.default_rng(1320)
+        x0 = random_ellipsoid(rng, 4)
+        forward = [tall_stage(rng, 4, 2, 0.5, 0.9) for _ in range(50)]
+        backward = [tall_stage(rng, 4, 2, 1.1, 2.0) for _ in range(50)]
+        monkeypatch.setattr(Ellipsoid, "__post_init__", counting_construct)
+        monkeypatch.setattr(linalg, "symmetrize", counting_symmetrize)
+        for stage in forward:
+            stage.input_image(1e-9)
+        for stage in backward:
+            stage.input_image(1e-9, backward=True)
+        images = dict(calls)
+        assert images["construct"] == 100  # one validated input image per distinct stage
+        propagate_forward(x0, forward, eps=1e-9)
+        propagate_backward(x0, backward, eps=1e-9)
+        assert calls == images
