@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap, UnsupportedDimension
+from .errors import DimensionMismatch, EllipsumError, NotPositiveDefinite, SingularMap, UnsupportedDimension
 
 #: absolute slack on the quadratic-form residual for membership tests,
 #: forgiving of roundoff on exact boundary points
@@ -53,7 +53,8 @@ class Ellipsoid:
     The center must be finite. The shape matrix is symmetrized on
     construction (rejecting genuinely asymmetric input) and checked for
     positive definiteness via Cholesky. Solver outputs, SPD by construction,
-    skip these checks through ``_trusted``.
+    and affine images, factored where they are formed, skip these checks
+    through ``_trusted``.
     Instances are immutable; the stored arrays are read-only.
     """
 
@@ -174,16 +175,37 @@ class Ellipsoid:
         return f"Ellipsoid(center={self.center.tolist()}, shape={self.shape.tolist()})"
 
 
+def _image_parts(ell: Ellipsoid, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """E(F q, F Q F') as center, shape, its Cholesky factor and 1/2 log det.
+
+    F Q F' is symmetrized and factored once and not validated further. An
+    image that does not factor raises SingularMap; one with non-finite
+    entries (an overflow) raises EllipsumError.
+    """
+    center = matrix @ ell.center
+    shape = matrix @ ell.shape @ matrix.T
+    shape = 0.5 * (shape + shape.T)
+    try:
+        lower = linalg.cholesky(shape)
+    except NotPositiveDefinite as exc:
+        if not np.all(np.isfinite(shape)):
+            raise EllipsumError("image shape matrix has non-finite entries (overflow)") from exc
+        raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
+    if not np.all(np.isfinite(center)):
+        raise EllipsumError("image center has non-finite entries (overflow)")
+    return center, shape, lower, float(np.sum(np.log(np.diagonal(lower))))
+
+
 def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
-    """Image of an ellipsoid under x -> F x: E(Fq, F Q F'), validated."""
+    """Image of an ellipsoid under x -> F x: E(Fq, F Q F'), factored once.
+
+    Raises SingularMap when F Q F' is not positive definite and EllipsumError
+    when the image overflows.
+    """
     f = np.asarray(matrix, dtype=float)
     if f.ndim != 2 or f.shape[1] != ell.dim:
         raise DimensionMismatch(f"map shape {f.shape} incompatible with dim {ell.dim}")
-    new_shape = f @ ell.shape @ f.T
-    try:
-        return Ellipsoid(center=f @ ell.center, shape=0.5 * (new_shape + new_shape.T))
-    except NotPositiveDefinite as exc:
-        raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
+    return Ellipsoid._trusted(*_image_parts(ell, f))
 
 
 def lift_degenerate(shape_psd, eps: float) -> np.ndarray:

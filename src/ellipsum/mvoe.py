@@ -507,5 +507,5 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
     for nxt in items[1:]:
         parts = _pair_parts(*acc, nxt, opts)
         betas.append(parts.beta)
-        acc = parts[:4]
+        acc = (parts.center, parts.shape, parts.factor, parts.half_logdet)
     return _result(parts, opts), betas

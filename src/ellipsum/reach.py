@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _freeze, lift_degenerate
-from .errors import DimensionMismatch, EllipsumError, NotPositiveDefinite, SingularMap
+from .ellipsoid import Ellipsoid, _freeze, _image_parts, lift_degenerate
+from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import SolverOptions, _pair_parts
 
 #: default regularization for degenerate input images
@@ -115,27 +115,6 @@ class ReachTube:
         return [e.volume() for e in self.stages]
 
 
-def _mapped(state: Ellipsoid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """E(M q, M Q M') in the parts the pair step takes: center, shape, its
-    Cholesky factor and 1/2 log det. Factored once and not validated; an
-    image that does not factor raises SingularMap, or EllipsumError when it
-    overflowed."""
-    q = m @ state.shape @ m.T
-    q = 0.5 * (q + q.T)
-    try:
-        lower = linalg.cholesky(q)
-    except NotPositiveDefinite as exc:
-        if not np.all(np.isfinite(q)):
-            raise EllipsumError("image shape matrix has non-finite entries (the tube overflowed)") from exc
-        raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
-    return m @ state.center, q, lower, float(np.sum(np.log(np.diagonal(lower))))
-
-
-def _outer(mapped: tuple, driven: Ellipsoid, opts: SolverOptions | None) -> Ellipsoid:
-    parts = _pair_parts(*mapped, driven, opts)
-    return Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
-
-
 def step_forward(
     state: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
 ) -> Ellipsoid:
@@ -146,8 +125,8 @@ def step_forward(
     """
     if state.dim != stage.n:
         raise DimensionMismatch(f"state has dim {state.dim}, stage expects {stage.n}")
-    mapped = _mapped(state, stage.F)
-    return _outer(mapped, stage.input_image(eps), opts)
+    parts = _pair_parts(*_image_parts(state, stage.F), stage.input_image(eps), opts)
+    return Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
 
 
 def propagate_forward(
@@ -192,8 +171,9 @@ def step_backward(
     """
     if terminal.dim != stage.n:
         raise DimensionMismatch(f"terminal set has dim {terminal.dim}, stage expects {stage.n}")
-    mapped = _mapped(terminal, stage.inverse())
-    return _outer(mapped, stage.input_image(eps, backward=True), opts)
+    driven = stage.input_image(eps, backward=True)
+    parts = _pair_parts(*_image_parts(terminal, stage.inverse()), driven, opts)
+    return Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
 
 
 def propagate_backward(

@@ -7,6 +7,7 @@ from conftest import random_ellipsoid, spd_matrix
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
+    EllipsumError,
     NotPositiveDefinite,
     SingularMap,
     UnsupportedDimension,
@@ -129,6 +130,19 @@ class TestAffineImage:
     def test_singular_map_rejected(self):
         with pytest.raises(SingularMap):
             affine_image(unit_disk(), np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    def test_overflowing_center_rejected(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(EllipsumError, match="center has non-finite entries"):
+                affine_image(Ellipsoid([1e200, 0.0], np.eye(2)), 1e110 * np.eye(2))
+
+    def test_factor_and_log_volume_match_shape(self):
+        rng = np.random.default_rng(48)
+        e = random_ellipsoid(rng, 4)
+        image = affine_image(e, rng.normal(size=(3, 4)))
+        assert np.allclose(image.factor @ image.factor.T, image.shape, rtol=1e-12, atol=0)
+        _, logdet = np.linalg.slogdet(image.shape)
+        assert abs(image.log_volume() - (math.log(unit_ball_volume(3)) + 0.5 * logdet)) < 1e-10
 
 
 class TestLiftDegenerate:

@@ -61,6 +61,30 @@ class TestGoldenSection:
         assert abs(beta_gs - result.beta) <= 1e-2 * result.beta
         assert abs(log_volume - result.ellipsoid.log_volume()) < 1e-8
 
+    def test_proportional_ill_conditioned_shapes(self):
+        # Q2 = c Q1 has a one-point spectral bracket at beta = c^{-1/2};
+        # the search still runs, over the widened bracket
+        rng = np.random.default_rng(90)
+        frame, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        q1 = (frame * np.logspace(-4, 4, 4)) @ frame.T
+        q1 = 0.5 * (q1 + q1.T)
+        beta_gs, log_volume = golden_section_beta(q1, 4.0 * q1, 1e-9)
+        assert abs(beta_gs - 0.5) < 1e-2
+        # Q(1/2) = 9 Q1
+        expected = Ellipsoid(np.zeros(4), 9.0 * q1).log_volume()
+        assert abs(log_volume - expected) < 1e-8
+
+    def test_inaccurate_spectrum_does_not_pin_the_search(self, monkeypatch):
+        # the bracket comes from the solver's whitening; a spectrum 50 %
+        # off moves a one-point bracket by 0.2 in log beta, and the search
+        # must still find the true minimizer at beta = 1/2
+        from ellipsum import oracles
+
+        monkeypatch.setattr(oracles, "generalized_spectrum", lambda a, b: 1.5 * generalized_spectrum(a, b))
+        q1 = np.diag([1.0, 3.0])
+        beta_gs, _ = golden_section_beta(q1, 4.0 * q1, 1e-9)
+        assert abs(beta_gs - 0.5) < 1e-3
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             golden_section_beta(np.eye(2), np.eye(2), 0.0)
@@ -104,6 +128,16 @@ class TestContainment:
         report = containment_check(shrunk, parts, n_dirs=500, seed=4)
         assert not report.passed
         assert report.worst_violation > 0.0
+
+    def test_worst_violation_stays_absolute(self):
+        # supports near 1e8 round to violations of 1.5e-8 on the correct
+        # answer: it passes on its roundoff slack (8.7e-7), while
+        # worst_violation is still the raw violation minus 1e-9
+        parts = [Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])), Ellipsoid(np.zeros(2), 1e16 * np.diag([1.0, 3.0]))]
+        outer = mvoe_pair(parts[0], parts[1]).ellipsoid
+        report = containment_check(outer, parts, n_dirs=1000, seed=0)
+        assert report.passed
+        assert 1e-9 < report.worst_violation + 1e-9 < 1e-7
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(84)

@@ -263,6 +263,14 @@ class TestSingularImage:
                 propagate_forward(Ellipsoid(np.zeros(2), np.eye(2)), [stage] * 5)
         assert not isinstance(info.value, SingularMap)
 
+    def test_overflowing_center_is_rejected(self):
+        # the center passes 1e308 at step 11 while the shape is near 1e220
+        stage = LtiStage(F=1e10 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EllipsumError, match="center has non-finite entries") as info:
+                propagate_forward(Ellipsoid([1e200, 0.0], np.eye(2)), [stage] * 12)
+        assert not isinstance(info.value, SingularMap)
+
 
 def tall_stage(rng, n: int, m: int, low: float, high: float) -> LtiStage:
     """F with singular values in [low, high] and a tall random G."""
