@@ -53,8 +53,9 @@ class Ellipsoid:
     The center must be finite. The shape matrix is symmetrized on
     construction (rejecting genuinely asymmetric input) and checked for
     positive definiteness via Cholesky. Solver outputs, SPD by construction,
-    and affine images, factored where they are formed, skip these checks
-    through ``_trusted``.
+    and affine images skip these checks through ``_trusted``; both are
+    factored by Cholesky where they are formed. Every instance, however
+    built, carries the lower Cholesky factor of its shape.
     Instances are immutable; the stored arrays are read-only.
     """
 
@@ -75,8 +76,9 @@ class Ellipsoid:
 
     @classmethod
     def _trusted(cls, center, shape, factor, half_logdet: float) -> Ellipsoid:
-        """Store an SPD-by-construction ``shape`` with a square root ``factor``
-        (shape = factor @ factor.T) and 1/2 log det shape, without checks."""
+        """Store an SPD-by-construction ``shape`` with its lower Cholesky
+        ``factor`` (shape = factor @ factor.T) and 1/2 log det shape, without
+        checks."""
         out = object.__new__(cls)
         out._store(center, shape, factor, half_logdet)
         return out
@@ -93,7 +95,7 @@ class Ellipsoid:
 
     @property
     def factor(self) -> np.ndarray:
-        """A square root S of the shape matrix, Q = S S' (not always triangular)."""
+        """The lower Cholesky factor L of the shape matrix, Q = L L'."""
         return self._factor
 
     def log_volume(self) -> float:

@@ -1,4 +1,5 @@
-"""Thin wrappers over numpy's LAPACK routines for symmetric matrices.
+"""Thin wrappers over numpy's LAPACK routines for symmetric matrices, and
+the inverse of a lower-triangular factor.
 
 Each wrapper checks its output and turns LAPACK failures into the package's
 typed errors. Everything works on dense float64 numpy arrays.
@@ -9,6 +10,9 @@ import numpy as np
 from .errors import NoConvergence, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-9
+
+#: largest diagonal block that ``lower_inverse`` inverts in one LAPACK call
+_INVERSE_BLOCK = 32
 
 
 def symmetrize(matrix) -> np.ndarray:
@@ -38,7 +42,7 @@ def _lapack_cholesky(m: np.ndarray) -> np.ndarray | None:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    return lower if np.all(np.isfinite(lower)) else None
+    return lower if np.isfinite(lower).all() else None
 
 
 def _failing_pivot(m: np.ndarray) -> int:
@@ -71,6 +75,60 @@ def cholesky(matrix: np.ndarray) -> np.ndarray:
     return lower
 
 
+def lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, itself exactly
+    lower-triangular.
+
+    Recurses on the 2x2 block form inv([[A, 0], [C, D]]) =
+    [[A^-1, 0], [-D^-1 C A^-1, D^-1]], the blocked scheme of LAPACK's trtri
+    (Du Croz & Higham, 1992), so the work is matrix products instead of the
+    general LU and identity solves of ``np.linalg.inv``. Diagonal blocks of
+    at most _INVERSE_BLOCK rows are inverted through their transpose: LU
+    with partial pivoting never swaps rows of an upper-triangular matrix, so
+    the solve is plain back substitution and the upper triangle stays zero.
+    Only the lower triangle of the input may be nonzero; nothing checks it.
+    """
+    n = lower.shape[0]
+    if n <= _INVERSE_BLOCK:
+        return np.linalg.inv(lower.T).T
+    k = n // 2
+    a_inv = lower_inverse(lower[:k, :k])
+    d_inv = lower_inverse(lower[k:, k:])
+    out = np.zeros_like(lower)
+    out[:k, :k] = a_inv
+    out[k:, k:] = d_inv
+    out[k:, :k] = -(d_inv @ (lower[k:, :k] @ a_inv))
+    return out
+
+
+def _eigensolve(solver, matrix):
+    m = np.asarray(matrix, dtype=float)
+    # eigvalsh returns finite values for some non-finite input
+    _require_finite(m)
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _require_finite(*arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NoConvergence("symmetric eigensolver met non-finite values")
+
+
+def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
+
+    Backed by LAPACK's symmetric eigensolver, with the failure and
+    finiteness checks of ``sym_eig``: non-finite input or output raises
+    NoConvergence.
+    """
+    values = _eigensolve(np.linalg.eigvalsh, matrix)
+    _require_finite(values)
+    return values
+
+
 def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition M = vectors @ diag(values) @ vectors.T.
 
@@ -78,11 +136,6 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthonormal eigenvectors as columns. Deterministic for identical input.
     Backed by LAPACK's symmetric eigensolver.
     """
-    m = np.asarray(matrix, dtype=float)
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
-        raise NoConvergence("symmetric eigensolver produced non-finite output")
+    values, vectors = _eigensolve(np.linalg.eigh, matrix)
+    _require_finite(values, vectors)
     return values, vectors

@@ -33,6 +33,7 @@ from .ellipsoid import Ellipsoid, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
+    EllipsumError,
     EmptyInput,
     InvalidWeights,
     MaxIterationsExceeded,
@@ -156,26 +157,27 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
     return sum(q / a for q, a in zip(mats, w))
 
 
-def _whitened_eig(factor: np.ndarray, Q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (l, V) of S^{-1} Q2 S^{-T}, S a square root of Q1; l is the
-    spectrum of Q1^{-1} Q2."""
-    s_inv = np.linalg.inv(factor)
-    w = s_inv @ Q2 @ s_inv.T
-    values, vectors = linalg.sym_eig(0.5 * (w + w.T))
+def _whitened_spectrum(factor: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """Eigenvalues of L^{-1} Q2 L^{-T}, L the lower Cholesky factor of Q1:
+    the spectrum of Q1^{-1} Q2, ascending. No eigenvectors are formed."""
+    l_inv = linalg.lower_inverse(factor)
+    w = l_inv @ Q2 @ l_inv.T
+    values = linalg.sym_eigvals(0.5 * (w + w.T))
     if values[0] <= 0.0:
         raise NotPositiveDefinite(0, "second shape matrix is not positive definite")
-    return values, vectors
+    return values
 
 
 def generalized_spectrum(Q1, Q2) -> np.ndarray:
     """Positive eigenvalues of Q1^{-1} Q2, ascending.
 
     Computed from the symmetric whitened matrix L^{-1} Q2 L^{-T} with
-    Q1 = L L', which has the same spectrum and keeps the eigenproblem
-    symmetric and well conditioned.
+    Q1 = L L' (L^{-1} by ``linalg.lower_inverse``), which has the same
+    spectrum and keeps the eigenproblem symmetric and well conditioned.
+    Only the eigenvalues are computed.
     """
     a, b = _check_pair(Q1, Q2)
-    return _whitened_eig(linalg.cholesky(a), b)[0]
+    return _whitened_spectrum(linalg.cholesky(a), b)
 
 
 def optimality_residual(lam, beta: float) -> float:
@@ -263,7 +265,7 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     cubic evaluations spent; raises MaxIterationsExceeded when
     ``opts.max_iterations`` evaluations do not narrow the interval enough.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     values = np.asarray(lam, dtype=float).reshape(-1)
     if values.shape[0] != 2:
         raise DimensionNotTwo(f"bisection bracket needs d = 2, got d = {values.shape[0]}")
@@ -364,7 +366,7 @@ def solve_beta_fixed_point(lam, beta0: float, opts: SolverOptions | None = None)
     a tolerance too tight for the conditioning (MaxIterationsExceeded
     carries the last iterate). Works in any dimension d >= 1.
     """
-    opts = opts or SolverOptions()
+    opts = opts or _DEFAULT_OPTIONS
     values = np.asarray(lam, dtype=float).reshape(-1)
     if np.any(values <= 0.0):
         raise ValueError("spectrum must be positive")
@@ -398,7 +400,7 @@ class _PairParts(NamedTuple):
 
     center: np.ndarray
     shape: np.ndarray
-    factor: np.ndarray  # a square root of shape
+    factor: np.ndarray  # lower Cholesky factor of shape
     half_logdet: float  # 1/2 log det shape
     beta: float
     iterations: int
@@ -409,17 +411,18 @@ def _pair_parts(
     center1, q1, factor1, half_logdet1: float, e2: Ellipsoid, opts: SolverOptions | None = None
 ) -> _PairParts:
     """The pair step on a first operand given as parts: its center, its SPD
-    shape ``q1``, a square root ``factor1`` of it and 1/2 log det ``q1``.
+    shape ``q1``, its lower Cholesky factor ``factor1`` and 1/2 log det ``q1``.
 
     Nothing is validated here; callers hand over validated ellipsoids or
-    values that are SPD by construction. With q1 = S S' and
-    S^{-1} Q2 S^{-T} = V diag(l) V', the output is Q(beta) =
-    (S V G^{1/2})(S V G^{1/2})' with log det Q(beta) = log det Q1 + sum log g,
-    G = diag(g), g = (1 + 1/beta) + (1 + beta) l.
+    values that are SPD by construction. Only the spectrum l of Q1^{-1} Q2 is
+    computed, never its eigenvectors. The output factor is the Cholesky
+    factor of the assembled Q(beta), and log det Q(beta) = log det Q1 +
+    sum log g with g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of
+    Q1^{-1} Q(beta).
     """
     opts = opts or _DEFAULT_OPTIONS
     q2 = e2.shape
-    lam, vectors = _whitened_eig(factor1, q2)
+    lam = _whitened_spectrum(factor1, q2)
     values = lam.tolist()
     method = _resolve_method(opts.method)
     if method == "newton":
@@ -432,11 +435,18 @@ def _pair_parts(
         beta, iterations = beta_trace_optimal(q1, q2), 0
     else:
         raise ValueError(f"unknown method {method!r}")
+    shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
+    try:
+        factor = linalg.cholesky(shape)
+    except NotPositiveDefinite as exc:
+        if not np.isfinite(shape).all():
+            raise EllipsumError("outer shape matrix has non-finite entries (overflow)") from exc
+        raise
     g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
     return _PairParts(
         center=center1 + e2.center,
-        shape=(1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2,  # q_of_beta, unchecked
-        factor=(factor1 @ vectors) * np.sqrt(g),
+        shape=shape,
+        factor=factor,
         half_logdet=half_logdet1 + 0.5 * float(np.sum(np.log(g))),
         beta=beta,
         iterations=iterations,

@@ -14,7 +14,8 @@ Each step maps the state's shape once, q = M Q M' with M = F forward or the
 stage's F^{-1} backward, and factors q once by Cholesky. That factor and its
 log-determinant go straight into the pair step, so no intermediate ellipsoid
 is built or validated; only the tube entry is stored, and it is SPD by
-construction. The input images are validated once per stage. Each step
+construction and carries the Cholesky factor of its shape, taken in the pair
+step. The input images are validated once per stage. Each step
 factors its mapped state afresh instead of carrying an inverse factor from
 the previous step, which would drift from the shape it stands for.
 """
@@ -120,8 +121,8 @@ def step_forward(
 ) -> Ellipsoid:
     """One forward step: outer ellipsoid of F.state (+) G.input_set.
 
-    F Q F' is symmetrized and factored once (one Cholesky per step) and is
-    not validated again; a singular image raises SingularMap.
+    F Q F' is symmetrized and factored once and is not validated again; a
+    singular image raises SingularMap. The pair step factors the output.
     """
     if state.dim != stage.n:
         raise DimensionMismatch(f"state has dim {state.dim}, stage expects {stage.n}")
@@ -167,7 +168,8 @@ def step_backward(
 
     Requires a nonsingular F; near-singularity is detected through the
     explicit inverse residual, once per stage. F^{-1} Q F^{-T} is symmetrized
-    and factored once (one Cholesky per step) and is not validated again.
+    and factored once and is not validated again. The pair step factors the
+    output.
     """
     if terminal.dim != stage.n:
         raise DimensionMismatch(f"terminal set has dim {terminal.dim}, stage expects {stage.n}")

@@ -9,10 +9,12 @@ from ellipsum import (
     DimensionMismatch,
     DimensionNotTwo,
     Ellipsoid,
+    EllipsumError,
     EmptyInput,
     InvalidWeights,
     MaxIterationsExceeded,
     NonPositiveBeta,
+    NotPositiveDefinite,
     SolverOptions,
     beta_trace_optimal,
     bracket_beta_2d,
@@ -164,6 +166,26 @@ class TestGeneralizedSpectrum:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             generalized_spectrum(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("log_range, bound", [(1.0, 1e-12), (2.0, 1e-9)])
+    def test_matches_scipy_no_worse_than_full_inverse_and_eigh(self, log_range, bound):
+        # the values-only spectrum on a triangular inverse against the same
+        # whitening by np.linalg.inv and eigh; both are read against scipy's
+        # generalized symmetric eigensolver, elementwise relative
+        sl = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(760)
+        worst = worst_reference = 0.0
+        for dim in (40, 100, 200):
+            q1 = spd_matrix(rng, dim, -log_range, log_range)
+            q2 = spd_matrix(rng, dim, -log_range, log_range)
+            expected = sl.eigh(q2, q1, eigvals_only=True)
+            s_inv = np.linalg.inv(np.linalg.cholesky(q1))
+            w = s_inv @ q2 @ s_inv.T
+            reference = np.linalg.eigh(0.5 * (w + w.T))[0]
+            worst = max(worst, np.max(np.abs(generalized_spectrum(q1, q2) - expected) / expected))
+            worst_reference = max(worst_reference, np.max(np.abs(reference - expected) / expected))
+        assert worst <= bound
+        assert worst <= 2.0 * worst_reference
 
 
 class TestOptimalityResidual:
@@ -478,6 +500,13 @@ class TestMvoePair:
         lam = generalized_spectrum(e1.shape, e2.shape)
         assert result.residual == abs(optimality_residual(lam, result.beta))
 
+    def test_overflowing_output_is_reported_as_overflow(self):
+        # the inputs factor, but Q(1) = 2e308 I does not fit a double
+        e = Ellipsoid(np.zeros(2), 5e307 * np.eye(2))
+        with np.errstate(over="ignore"), pytest.raises(EllipsumError, match="overflow") as info:
+            mvoe_pair(e, e)
+        assert not isinstance(info.value, NotPositiveDefinite)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mvoe_pair(Ellipsoid(np.zeros(2), np.eye(2)), Ellipsoid(np.zeros(3), np.eye(3)))
@@ -568,13 +597,14 @@ class TestMvoeSum:
 
 
 class TestTrustedOutputs:
-    """mvoe_pair builds its output from the factor and spectrum it already
-    has, without validating it again."""
+    """mvoe_pair builds its output from the shape it assembles, its Cholesky
+    factor and the spectrum it already has, without validating it again."""
 
     @pytest.mark.parametrize("dim", [2, 6, 20])
     def test_long_fold_keeps_factor_log_volume_and_beta(self, dim):
-        # each output whitens the next step, so a carried non-triangular
-        # factor must not drift from the shape it stands for
+        # each output whitens the next step, so its factor, taken afresh from
+        # each step's Q(beta), and its log-volume, carried as a running sum of
+        # log g, must keep matching the shape over a long fold
         rng = np.random.default_rng(1200 + dim)
         log_ball = math.log(unit_ball_volume(dim))
         acc = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
@@ -600,8 +630,8 @@ class TestTrustedOutputs:
         rng = np.random.default_rng(1210 + dim)
         result, _ = mvoe_sum([random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0) for _ in range(8)])
         out = result.ellipsoid
-        assert np.any(np.triu(out.factor, 1) != 0.0)  # not a Cholesky factor
         lower = np.linalg.cholesky(out.shape)
+        assert np.linalg.norm(out.factor - lower) <= 1e-12 * np.linalg.norm(lower)
         for radius in (0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0):
             for _ in range(50):
                 x = out.center + radius * (lower @ unit_direction(rng.normal(size=dim)))
@@ -616,7 +646,8 @@ class TestTrustedOutputs:
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda m, real=real, name=name: calls.append(name) or real(m))
         mvoe_sum(parts)
-        assert calls == []
+        # one Cholesky per pair step, on Q(beta); nothing is symmetrized
+        assert calls == ["cholesky"] * (len(parts) - 1)
 
     def test_trusted_constructor_is_not_exported(self):
         assert "_trusted" not in ellipsum.__all__
