@@ -5,8 +5,9 @@ Subcommands: ``sum`` (outer ellipsoid of a Minkowski sum), ``reach``
 plotting) and ``check`` (run the verification oracles). Inputs are JSON
 problem files; results are written atomically (temp file + rename) so a
 failed run never leaves a partial output. Exit codes: 0 ok, 1 check failed,
-2 parse error, 3 numeric/solver error, 4 singular state matrix in backward
-mode, 5 unsupported dimension.
+2 parse error (including invalid flags and non-finite scenario values),
+3 numeric/solver error, 4 singular state matrix in backward mode,
+5 unsupported dimension.
 """
 
 from __future__ import annotations
@@ -173,8 +174,8 @@ def load_problem(path: str) -> dict:
             eps = float(eps)
         except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"scenario.eps must be a number: {exc}") from exc
-        if eps < 0.0:
-            raise ProblemFormatError("scenario.eps must be nonnegative")
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise ProblemFormatError("scenario.eps must be nonnegative and finite")
         scenario = {"mode": mode, "anchor": anchor, "stages": stages, "eps": eps}
 
     claim = None
@@ -206,6 +207,14 @@ def load_problem(path: str) -> dict:
     }
 
 
+def _check_oracle_flags(args):
+    """Reject --directions and --seed values the oracles cannot sample with."""
+    if args.directions < 1:
+        raise ProblemFormatError("--directions must be at least 1")
+    if args.seed < 0:
+        raise ProblemFormatError("--seed must be nonnegative")
+
+
 def _timed(args, label: str, fn):
     start = time.perf_counter()
     result = fn()
@@ -217,6 +226,7 @@ def _timed(args, label: str, fn):
 
 def cmd_sum(args) -> int:
     try:
+        _check_oracle_flags(args)
         problem = load_problem(args.input)
         opts = _parse_options(problem["options_raw"], args)
         if not problem["ellipsoids"]:
@@ -359,6 +369,7 @@ def _pair_step_reports(shape1, shape2, beta, log_volume) -> list:
 
 def cmd_check(args) -> int:
     try:
+        _check_oracle_flags(args)
         problem = load_problem(args.input)
         opts = _parse_options(problem["options_raw"], args)
         if not problem["ellipsoids"]:

@@ -52,11 +52,10 @@ class Ellipsoid:
 
     The center must be finite. The shape matrix is symmetrized on
     construction (rejecting genuinely asymmetric input) and checked for
-    positive definiteness via Cholesky. Solver outputs, SPD by construction,
-    and affine images skip these checks through ``_trusted``; both are
-    factored by Cholesky where they are formed. Every instance, however
-    built, carries the lower Cholesky factor of its shape.
-    Instances are immutable; the stored arrays are read-only.
+    positive definiteness via Cholesky. Every instance keeps ``_parts``, the
+    tuple (center, shape, lower Cholesky factor, 1/2 log det shape). Computed
+    ellipsoids travel as such tuples and become instances only through
+    ``_trusted``. Instances are immutable; the stored arrays are read-only.
     """
 
     center: np.ndarray
@@ -72,22 +71,25 @@ class Ellipsoid:
                 f"center has dim {center.shape[0]}, shape matrix is {shape.shape[0]}x{shape.shape[0]}"
             )
         chol = linalg.cholesky(shape)  # raises NotPositiveDefinite for invalid shapes
-        self._store(center, shape, chol, float(np.sum(np.log(np.diagonal(chol)))))
+        self._store((center, shape, chol, _half_logdet(chol)))
 
     @classmethod
-    def _trusted(cls, center, shape, factor, half_logdet: float) -> Ellipsoid:
-        """Store an SPD-by-construction ``shape`` with its lower Cholesky
-        ``factor`` (shape = factor @ factor.T) and 1/2 log det shape, without
-        checks."""
+    def _trusted(cls, parts) -> Ellipsoid:
+        """The ellipsoid of computed ``parts``, whose shape is SPD by
+        construction and factored by ``_factored``. Only the center is
+        checked: an overflow in forming it raises EllipsumError."""
+        if not np.isfinite(parts[0]).all():
+            raise EllipsumError("center has non-finite entries (overflow)")
         out = object.__new__(cls)
-        out._store(center, shape, factor, half_logdet)
+        out._store(parts)
         return out
 
-    def _store(self, center, shape, factor, half_logdet):
+    def _store(self, parts):
+        center, shape, factor, _ = parts
         object.__setattr__(self, "center", _freeze(center))
         object.__setattr__(self, "shape", _freeze(shape))
-        object.__setattr__(self, "_factor", _freeze(factor))
-        object.__setattr__(self, "_half_logdet", half_logdet)
+        _freeze(factor)
+        object.__setattr__(self, "_parts", parts)
 
     @property
     def dim(self) -> int:
@@ -96,11 +98,11 @@ class Ellipsoid:
     @property
     def factor(self) -> np.ndarray:
         """The lower Cholesky factor L of the shape matrix, Q = L L'."""
-        return self._factor
+        return self._parts[2]
 
     def log_volume(self) -> float:
         """log of pi^(d/2) / Gamma(d/2 + 1) * sqrt(det Q); finite at any d."""
-        return _log_unit_ball_volume(self.dim) + self._half_logdet
+        return _log_unit_ball_volume(self.dim) + self._parts[3]
 
     def volume(self) -> float:
         """exp(log_volume()), or inf where that overflows."""
@@ -123,7 +125,7 @@ class Ellipsoid:
         x = np.asarray(point, dtype=float).reshape(-1)
         if x.shape[0] != self.dim:
             raise DimensionMismatch(f"point has dim {x.shape[0]}, ellipsoid has dim {self.dim}")
-        z = np.linalg.solve(self._factor, x - self.center)
+        z = np.linalg.solve(self.factor, x - self.center)
         return float(z @ z) <= 1.0 + MEMBERSHIP_TOL
 
     def sqrt_shape(self) -> np.ndarray:
@@ -177,37 +179,51 @@ class Ellipsoid:
         return f"Ellipsoid(center={self.center.tolist()}, shape={self.shape.tolist()})"
 
 
-def _image_parts(ell: Ellipsoid, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """E(F q, F Q F') as center, shape, its Cholesky factor and 1/2 log det.
+def _half_logdet(factor: np.ndarray) -> float:
+    """1/2 log det of L L' from its lower Cholesky factor L."""
+    return float(np.sum(np.log(np.diagonal(factor))))
+
+
+def _factored(shape: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a computed shape; one with non-finite entries
+    (an overflow) raises EllipsumError rather than NotPositiveDefinite."""
+    try:
+        return linalg.cholesky(shape)
+    except NotPositiveDefinite as exc:
+        if not np.isfinite(shape).all():
+            raise EllipsumError("shape matrix has non-finite entries (overflow)") from exc
+        raise
+
+
+def _image_parts(parts, matrix: np.ndarray):
+    """Parts of E(F q, F Q F') from the parts of E(q, Q).
 
     F Q F' is symmetrized and factored once and not validated further. An
-    image that does not factor raises SingularMap; one with non-finite
-    entries (an overflow) raises EllipsumError.
+    image that is not positive definite raises SingularMap; an overflowed
+    center is left for ``Ellipsoid._trusted`` to catch.
     """
-    center = matrix @ ell.center
-    shape = matrix @ ell.shape @ matrix.T
+    center, shape, _, _ = parts
+    shape = matrix @ shape @ matrix.T
     shape = 0.5 * (shape + shape.T)
     try:
-        lower = linalg.cholesky(shape)
+        lower = _factored(shape)
     except NotPositiveDefinite as exc:
-        if not np.all(np.isfinite(shape)):
-            raise EllipsumError("image shape matrix has non-finite entries (overflow)") from exc
         raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
-    if not np.all(np.isfinite(center)):
-        raise EllipsumError("image center has non-finite entries (overflow)")
-    return center, shape, lower, float(np.sum(np.log(np.diagonal(lower))))
+    return matrix @ center, shape, lower, _half_logdet(lower)
 
 
 def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
     """Image of an ellipsoid under x -> F x: E(Fq, F Q F'), factored once.
 
-    Raises SingularMap when F Q F' is not positive definite and EllipsumError
-    when the image overflows.
+    Raises ValueError for a non-finite F, SingularMap when F Q F' is not
+    positive definite and EllipsumError when the image overflows.
     """
     f = np.asarray(matrix, dtype=float)
     if f.ndim != 2 or f.shape[1] != ell.dim:
         raise DimensionMismatch(f"map shape {f.shape} incompatible with dim {ell.dim}")
-    return Ellipsoid._trusted(*_image_parts(ell, f))
+    if not np.isfinite(f).all():
+        raise ValueError("map has non-finite entries")
+    return Ellipsoid._trusted(_image_parts(ell._parts, f))
 
 
 def lift_degenerate(shape_psd, eps: float) -> np.ndarray:
@@ -217,8 +233,8 @@ def lift_degenerate(shape_psd, eps: float) -> np.ndarray:
     untouched; rank-deficient shapes (e.g. from tall input maps) need a
     small positive eps.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be nonnegative and finite")
     q = linalg.symmetrize(shape_psd)
     d = q.shape[0]
     trace_scale = max(float(np.trace(q)) / d, 1.0)

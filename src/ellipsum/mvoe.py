@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, unit_direction
+from .ellipsoid import Ellipsoid, _factored, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
-    EllipsumError,
     EmptyInput,
     InvalidWeights,
     MaxIterationsExceeded,
@@ -395,32 +393,18 @@ def _resolve_method(method: str) -> str:
     return "newton" if method == "auto" else method
 
 
-class _PairParts(NamedTuple):
-    """One pair step's outer ellipsoid in parts, with the record of its solve."""
+def _pair_parts(parts1, e2: Ellipsoid, opts: SolverOptions | None = None):
+    """The pair step on a first operand given as parts (center, SPD shape
+    Q1, its lower Cholesky factor, 1/2 log det Q1): returns the outer
+    ellipsoid's parts, beta, the iteration count and |optimality residual|.
 
-    center: np.ndarray
-    shape: np.ndarray
-    factor: np.ndarray  # lower Cholesky factor of shape
-    half_logdet: float  # 1/2 log det shape
-    beta: float
-    iterations: int
-    residual: float  # |optimality residual| at the returned beta
-
-
-def _pair_parts(
-    center1, q1, factor1, half_logdet1: float, e2: Ellipsoid, opts: SolverOptions | None = None
-) -> _PairParts:
-    """The pair step on a first operand given as parts: its center, its SPD
-    shape ``q1``, its lower Cholesky factor ``factor1`` and 1/2 log det ``q1``.
-
-    Nothing is validated here; callers hand over validated ellipsoids or
-    values that are SPD by construction. Only the spectrum l of Q1^{-1} Q2 is
+    Nothing is validated here. Only the spectrum l of Q1^{-1} Q2 is
     computed, never its eigenvectors. The output factor is the Cholesky
-    factor of the assembled Q(beta), and log det Q(beta) = log det Q1 +
-    sum log g with g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of
-    Q1^{-1} Q(beta).
+    factor of Q(beta), and log det Q(beta) = log det Q1 + sum log g with
+    g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of Q1^{-1} Q(beta).
     """
     opts = opts or _DEFAULT_OPTIONS
+    center1, q1, factor1, half_logdet1 = parts1
     q2 = e2.shape
     lam = _whitened_spectrum(factor1, q2)
     values = lam.tolist()
@@ -436,33 +420,21 @@ def _pair_parts(
     else:
         raise ValueError(f"unknown method {method!r}")
     shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
-    try:
-        factor = linalg.cholesky(shape)
-    except NotPositiveDefinite as exc:
-        if not np.isfinite(shape).all():
-            raise EllipsumError("outer shape matrix has non-finite entries (overflow)") from exc
-        raise
+    factor = _factored(shape)
     g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
-    return _PairParts(
-        center=center1 + e2.center,
-        shape=shape,
-        factor=factor,
-        half_logdet=half_logdet1 + 0.5 * float(np.sum(np.log(g))),
-        beta=beta,
-        iterations=iterations,
-        residual=abs(_residual_and_slope(values, beta)[0]),
-    )
+    parts = (center1 + e2.center, shape, factor, half_logdet1 + 0.5 * float(np.sum(np.log(g))))
+    return parts, beta, iterations, abs(_residual_and_slope(values, beta)[0])
 
 
-def _result(parts: _PairParts, opts: SolverOptions) -> MvoeResult:
-    out = Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
+def _result(parts, beta: float, iterations: int, residual: float, opts: SolverOptions) -> MvoeResult:
+    out = Ellipsoid._trusted(parts)
     return MvoeResult(
-        beta=parts.beta,
+        beta=beta,
         ellipsoid=out,
         volume=out.volume(),
         method=_resolve_method(opts.method),
-        iterations=parts.iterations,
-        residual=parts.residual,
+        iterations=iterations,
+        residual=residual,
     )
 
 
@@ -480,7 +452,7 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     opts = opts or _DEFAULT_OPTIONS
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
-    return _result(_pair_parts(e1.center, e1.shape, e1.factor, e1._half_logdet, e2, opts), opts)
+    return _result(*_pair_parts(e1._parts, e2, opts), opts)
 
 
 def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult, list[float]]:
@@ -511,11 +483,9 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
             residual=0.0,
         )
         return result, []
-    first = items[0]
-    acc = (first.center, first.shape, first.factor, first._half_logdet)
+    parts = items[0]._parts
     betas: list[float] = []
     for nxt in items[1:]:
-        parts = _pair_parts(*acc, nxt, opts)
-        betas.append(parts.beta)
-        acc = (parts.center, parts.shape, parts.factor, parts.half_logdet)
-    return _result(parts, opts), betas
+        parts, beta, iterations, residual = _pair_parts(parts, nxt, opts)
+        betas.append(beta)
+    return _result(parts, beta, iterations, residual, opts), betas

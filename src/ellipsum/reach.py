@@ -10,14 +10,14 @@ The backward recursion mirrors this with the maps F^{-1} and -F^{-1} G.
 Rank-deficient input images G Q G' (tall G) are regularized through
 ``lift_degenerate``; pass eps = 0 for well-posed inputs to keep steps exact.
 
-Each step maps the state's shape once, q = M Q M' with M = F forward or the
-stage's F^{-1} backward, and factors q once by Cholesky. That factor and its
-log-determinant go straight into the pair step, so no intermediate ellipsoid
-is built or validated; only the tube entry is stored, and it is SPD by
-construction and carries the Cholesky factor of its shape, taken in the pair
-step. The input images are validated once per stage. Each step
-factors its mapped state afresh instead of carrying an inverse factor from
-the previous step, which would drift from the shape it stands for.
+Each step maps the state's parts once, q = M Q M' with M = F forward or
+the stage's F^{-1} backward, and factors q once by Cholesky. The mapped
+state stays a parts tuple that goes straight into the pair step; only the
+tube entry becomes an ``Ellipsoid``, through ``Ellipsoid._trusted``, which
+rejects a center that overflowed. ``F``, ``G`` and the input images are
+validated once per stage. Each step factors its mapped state afresh instead
+of carrying an inverse factor from the previous step, which would drift
+from the shape it stands for.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ class LtiStage:
             raise DimensionMismatch(f"F must be square, got shape {f.shape}")
         if g.ndim != 2 or g.shape[0] != f.shape[0]:
             raise DimensionMismatch(f"G shape {g.shape} incompatible with F shape {f.shape}")
+        for name, matrix in (("F", f), ("G", g)):
+            if not np.isfinite(matrix).all():
+                raise ValueError(f"{name} has non-finite entries")
         if self.input_set.dim != g.shape[1]:
             raise DimensionMismatch(
                 f"input set has dim {self.input_set.dim}, G has {g.shape[1]} columns"
@@ -126,8 +129,8 @@ def step_forward(
     """
     if state.dim != stage.n:
         raise DimensionMismatch(f"state has dim {state.dim}, stage expects {stage.n}")
-    parts = _pair_parts(*_image_parts(state, stage.F), stage.input_image(eps), opts)
-    return Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
+    mapped = _image_parts(state._parts, stage.F)
+    return Ellipsoid._trusted(_pair_parts(mapped, stage.input_image(eps), opts)[0])
 
 
 def propagate_forward(
@@ -173,9 +176,8 @@ def step_backward(
     """
     if terminal.dim != stage.n:
         raise DimensionMismatch(f"terminal set has dim {terminal.dim}, stage expects {stage.n}")
-    driven = stage.input_image(eps, backward=True)
-    parts = _pair_parts(*_image_parts(terminal, stage.inverse()), driven, opts)
-    return Ellipsoid._trusted(parts.center, parts.shape, parts.factor, parts.half_logdet)
+    mapped = _image_parts(terminal._parts, stage.inverse())
+    return Ellipsoid._trusted(_pair_parts(mapped, stage.input_image(eps, backward=True), opts)[0])
 
 
 def propagate_backward(

@@ -201,6 +201,28 @@ class TestReach:
         assert not out.exists()
         assert os.listdir(tmp_path) == ["p.json"]
 
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            ("forward", "eps", math.nan),
+            ("forward", "eps", math.inf),
+            ("forward", "G", [[math.inf]]),
+            ("forward", "F", [[math.nan]]),
+            ("backward", "F", [[math.nan]]),
+        ],
+    )
+    def test_nonfinite_scenario_value_exits_2(self, tmp_path, capsys, mode, key, value):
+        problem = scalar_reach_problem(mode=mode, steps=1)
+        if key == "eps":
+            problem["scenario"]["eps"] = value
+        else:
+            problem["scenario"]["stages"][0][key] = value
+        inp = write_problem(tmp_path / "p.json", problem)
+        assert main(["reach", inp, str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
     def test_missing_scenario_exits_2(self, tmp_path):
         inp = write_problem(tmp_path / "p.json", two_disk_problem())
         assert main(["reach", inp, str(tmp_path / "r.json")]) == 2
@@ -358,6 +380,18 @@ class TestCheck:
         assert main(["check", inp, "--seed", "21"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("flag", [["--directions", "0"], ["--directions", "-3"], ["--seed", "-1"]])
+@pytest.mark.parametrize("command", [["check"], ["sum", "--check"]], ids=["check", "sum"])
+def test_invalid_oracle_flag_exits_2(tmp_path, capsys, command, flag):
+    inp = write_problem(tmp_path / "p.json", two_disk_problem())
+    name, *extra = command
+    outputs = [str(tmp_path / "r.json")] if name == "sum" else []
+    assert main([name, inp, *outputs, *extra, *flag]) == 2
+    err = capsys.readouterr().err
+    assert flag[0] in err
+    assert "Traceback" not in err
 
 
 class TestTimeFlag:

@@ -136,6 +136,11 @@ class TestAffineImage:
             with pytest.raises(EllipsumError, match="center has non-finite entries"):
                 affine_image(Ellipsoid([1e200, 0.0], np.eye(2)), 1e110 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_map_rejected(self, bad):
+        with pytest.raises(ValueError, match="map has non-finite entries"):
+            affine_image(unit_disk(), np.array([[1.0, 0.0], [0.0, bad]]))
+
     def test_factor_and_log_volume_match_shape(self):
         rng = np.random.default_rng(48)
         e = random_ellipsoid(rng, 4)
@@ -168,6 +173,11 @@ class TestLiftDegenerate:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             lift_degenerate(np.eye(2), -1e-9)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_nonfinite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            lift_degenerate([[1.0]], eps)
 
 
 class TestBoundaryPoints:

@@ -507,6 +507,15 @@ class TestMvoePair:
             mvoe_pair(e, e)
         assert not isinstance(info.value, NotPositiveDefinite)
 
+    def test_overflowing_center_is_rejected(self):
+        # both inputs are valid, but q1 + q2 = 2e308 does not fit a double
+        e = Ellipsoid([1e308, 0.0], np.eye(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(EllipsumError, match="center has non-finite entries"):
+                mvoe_pair(e, e)
+            with pytest.raises(EllipsumError, match="center has non-finite entries"):
+                mvoe_sum([e, e])
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mvoe_pair(Ellipsoid(np.zeros(2), np.eye(2)), Ellipsoid(np.zeros(3), np.eye(3)))

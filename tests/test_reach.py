@@ -45,6 +45,14 @@ class TestStageValidation:
         with pytest.raises(DimensionMismatch):
             LtiStage(F=np.eye(2), G=np.ones((2, 2)), input_set=interval(1.0))
 
+    @pytest.mark.parametrize("name", ["F", "G"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_maps(self, name, bad):
+        maps = {"F": [[0.5]], "G": [[1.0]]}
+        maps[name] = [[bad]]
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            LtiStage(input_set=interval(1.0), **maps)
+
 
 class TestStepForward:
     def test_scalar_example_exact(self):
@@ -271,6 +279,21 @@ class TestSingularImage:
                 propagate_forward(Ellipsoid([1e200, 0.0], np.eye(2)), [stage] * 12)
         assert not isinstance(info.value, SingularMap)
 
+    def test_overflowing_forward_step_center_is_rejected(self):
+        # F x0 stays finite; adding the input's center overflows
+        x0 = Ellipsoid([1e308, 0.0], np.eye(2))
+        stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=x0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(EllipsumError, match="center has non-finite entries"):
+                step_forward(x0, stage, eps=0.0)
+
+    def test_overflowing_backward_step_center_is_rejected(self):
+        # F^{-1} x1 = 2e308 overflows in the map itself
+        stage = LtiStage(F=0.5 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(EllipsumError, match="center has non-finite entries"):
+                step_backward(Ellipsoid([1e308, 0.0], np.eye(2)), stage, eps=0.0)
+
 
 def tall_stage(rng, n: int, m: int, low: float, high: float) -> LtiStage:
     """F with singular values in [low, high] and a tall random G."""
@@ -290,9 +313,9 @@ def recording_kernel(monkeypatch):
     kernel = reach._pair_parts
 
     def recording(*args):
-        parts = kernel(*args)
-        betas.append(parts.beta)
-        return parts
+        step = kernel(*args)
+        betas.append(step[1])
+        return step
 
     monkeypatch.setattr(reach, "_pair_parts", recording)
     return betas
