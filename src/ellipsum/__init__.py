@@ -53,7 +53,7 @@ from .oracles import (
     golden_section_beta,
     stationarity_check,
 )
-from .reach import LtiStage, ReachTube, propagate_backward, propagate_forward, step_backward, step_forward
+from .reach import LtiStage, propagate_backward, propagate_forward, step_backward, step_forward
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "NonPositiveBeta",
     "NotPositiveDefinite",
     "OptimalityPolynomial",
-    "ReachTube",
     "SingularMap",
     "SolverOptions",
     "UnsupportedDimension",

@@ -76,6 +76,12 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _report_dict(report: CheckReport) -> dict:
+    out = report.to_dict()
+    out["worst_violation"] = _finite_or_none(out["worst_violation"])
+    return out
+
+
 def _parse_ellipsoid(obj, where: str, dim: int | None = None) -> Ellipsoid:
     try:
         ell = Ellipsoid.from_dict(obj)
@@ -258,7 +264,7 @@ def cmd_sum(args) -> int:
         report = containment_check(
             result.ellipsoid, problem["ellipsoids"], n_dirs=args.directions, seed=args.seed
         )
-        payload["checks"] = [report.to_dict()]
+        payload["checks"] = [_report_dict(report)]
         if not report.passed:
             code = EXIT_CHECK_FAILED
 
@@ -293,7 +299,7 @@ def cmd_reach(args) -> int:
         "dimension": problem["dimension"],
         "eps": scenario["eps"],
         "tube": [e.to_dict() for e in tube],
-        "volumes": [_finite_or_none(v) for v in tube.volumes()],
+        "volumes": [_finite_or_none(e.volume()) for e in tube],
         "log_volumes": [e.log_volume() for e in tube],
     }
     return _write_json_atomic(args.output, payload, EXIT_OK)
@@ -415,9 +421,9 @@ def cmd_check(args) -> int:
         "seed": args.seed,
         "directions": args.directions,
         "passed": all_passed,
-        "reports": [r.to_dict() for r in reports],
+        "reports": [_report_dict(r) for r in reports],
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 

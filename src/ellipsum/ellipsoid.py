@@ -233,9 +233,14 @@ def lift_degenerate(shape_psd, eps: float) -> np.ndarray:
     untouched; rank-deficient shapes (e.g. from tall input maps) need a
     small positive eps.
     """
+    return _lift(linalg.symmetrize(shape_psd), eps)
+
+
+def _lift(q: np.ndarray, eps: float) -> np.ndarray:
+    """``lift_degenerate`` of a symmetric ``q`` that is not validated; an
+    eps that is negative or not finite raises ValueError."""
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError("eps must be nonnegative and finite")
-    q = linalg.symmetrize(shape_psd)
     d = q.shape[0]
     trace_scale = max(float(np.trace(q)) / d, 1.0)
     return q + (eps * trace_scale) * np.eye(d)

@@ -17,11 +17,13 @@ class NotPositiveDefinite(EllipsumError):
 
 
 class NoConvergence(EllipsumError):
-    """An iterative routine hit its iteration cap without converging."""
+    """An iterative routine hit its iteration cap without converging, or the
+    symmetric eigensolver failed or met non-finite values."""
 
 
 class MaxIterationsExceeded(NoConvergence):
-    """Fixed-point iteration did not meet the step criterion within the cap.
+    """A beta solver (Newton, bisection or the fixed point) did not meet its
+    stopping criterion within ``max_iterations``.
 
     Carries the last iterate so callers can inspect or restart.
     """

@@ -23,6 +23,7 @@ more than two ellipsoids are handled by a pairwise left fold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,9 @@ class SolverOptions:
     ``tolerance`` is the authoritative stopping criterion: the step in log
     beta for Newton, the interval width relative to beta for bisection, and
     the step size relative to max(1, beta) for the fixed point. The optimality
-    residual is reported but not used to stop. ``max_iterations`` caps the
-    iterations of every method; reaching it raises MaxIterationsExceeded.
+    residual is reported but not used to stop. The tolerance must be
+    positive and finite. ``max_iterations``, an integer of at least 1, caps
+    the iterations of every method; reaching it raises MaxIterationsExceeded.
     ``method`` "auto" runs the Newton solver in every dimension, and results
     report it as "newton".
     """
@@ -62,10 +64,10 @@ class SolverOptions:
     method: str = "auto"
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -393,19 +395,20 @@ def _resolve_method(method: str) -> str:
     return "newton" if method == "auto" else method
 
 
-def _pair_parts(parts1, e2: Ellipsoid, opts: SolverOptions | None = None):
-    """The pair step on a first operand given as parts (center, SPD shape
-    Q1, its lower Cholesky factor, 1/2 log det Q1): returns the outer
-    ellipsoid's parts, beta, the iteration count and |optimality residual|.
+def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
+    """The pair step on two operands given as parts (center, SPD shape, its
+    lower Cholesky factor, 1/2 log det shape): returns the outer ellipsoid's
+    parts, beta, the iteration count and |optimality residual|.
 
-    Nothing is validated here. Only the spectrum l of Q1^{-1} Q2 is
-    computed, never its eigenvectors. The output factor is the Cholesky
-    factor of Q(beta), and log det Q(beta) = log det Q1 + sum log g with
-    g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of Q1^{-1} Q(beta).
+    Nothing is validated here, and of ``parts2`` only the center and shape
+    are read. Only the spectrum l of Q1^{-1} Q2 is computed, never its
+    eigenvectors. The output factor is the Cholesky factor of Q(beta), and
+    log det Q(beta) = log det Q1 + sum log g with g = (1 + 1/beta) +
+    (1 + beta) l, the eigenvalues of Q1^{-1} Q(beta).
     """
     opts = opts or _DEFAULT_OPTIONS
     center1, q1, factor1, half_logdet1 = parts1
-    q2 = e2.shape
+    center2, q2, _, _ = parts2
     lam = _whitened_spectrum(factor1, q2)
     values = lam.tolist()
     method = _resolve_method(opts.method)
@@ -422,7 +425,7 @@ def _pair_parts(parts1, e2: Ellipsoid, opts: SolverOptions | None = None):
     shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
     factor = _factored(shape)
     g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
-    parts = (center1 + e2.center, shape, factor, half_logdet1 + 0.5 * float(np.sum(np.log(g))))
+    parts = (center1 + center2, shape, factor, half_logdet1 + 0.5 * float(np.sum(np.log(g))))
     return parts, beta, iterations, abs(_residual_and_slope(values, beta)[0])
 
 
@@ -452,7 +455,7 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     opts = opts or _DEFAULT_OPTIONS
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
-    return _result(*_pair_parts(e1._parts, e2, opts), opts)
+    return _result(*_pair_parts(e1._parts, e2._parts, opts), opts)
 
 
 def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult, list[float]]:
@@ -486,6 +489,6 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
     parts = items[0]._parts
     betas: list[float] = []
     for nxt in items[1:]:
-        parts, beta, iterations, residual = _pair_parts(parts, nxt, opts)
+        parts, beta, iterations, residual = _pair_parts(parts, nxt._parts, opts)
         betas.append(beta)
     return _result(parts, beta, iterations, residual, opts), betas

@@ -267,7 +267,8 @@ def consistency_checks(lam, beta_plus: float) -> CheckReport:
     d = values.shape[0]
     lhs = float(np.sum(values / (1.0 + beta_plus * values)))
     rhs = d / (beta_plus * (beta_plus + 1.0))
-    rel = abs(lhs - rhs) / abs(rhs)
+    # rhs underflows to 0 at an extreme beta, which then fails the identity
+    rel = abs(lhs - rhs) / rhs if rhs > 0.0 else math.inf
     curvature = logdet_curvature(values, beta_plus)
     worst = max(rel - IDENTITY_RTOL, -curvature)
     return CheckReport(

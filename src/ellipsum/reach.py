@@ -7,17 +7,19 @@ ellipsoids by its minimum-volume outer approximation:
     X_{t+1} is contained in  MVOE( F X_t  (+)  G U_t ).
 
 The backward recursion mirrors this with the maps F^{-1} and -F^{-1} G.
-Rank-deficient input images G Q G' (tall G) are regularized through
+Rank-deficient input images G Q G' (tall G) are regularized as by
 ``lift_degenerate``; pass eps = 0 for well-posed inputs to keep steps exact.
 
-Each step maps the state's parts once, q = M Q M' with M = F forward or
-the stage's F^{-1} backward, and factors q once by Cholesky. The mapped
-state stays a parts tuple that goes straight into the pair step; only the
-tube entry becomes an ``Ellipsoid``, through ``Ellipsoid._trusted``, which
-rejects a center that overflowed. ``F``, ``G`` and the input images are
-validated once per stage. Each step factors its mapped state afresh instead
-of carrying an inverse factor from the previous step, which would drift
-from the shape it stands for.
+Both directions run one step: it maps the state's parts once, q = M Q M'
+with M = F forward or the stage's F^{-1} backward, factors q once by
+Cholesky, and hands it with the stage's input image, also parts, to the
+pair step. Only the tube entry becomes an ``Ellipsoid``, through
+``Ellipsoid._trusted``, which rejects a center that overflowed. ``F`` and
+``G`` are validated once per stage; input images are computed ellipsoids
+like the step outputs, factored once per stage, direction and eps, and not
+validated. Each step factors its mapped state afresh instead of carrying an
+inverse factor from the previous step, which would drift from the shape it
+stands for. A tube is a tuple of ellipsoids.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _freeze, _image_parts, lift_degenerate
+from .ellipsoid import Ellipsoid, _factored, _freeze, _half_logdet, _image_parts, _lift
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import SolverOptions, _pair_parts
 
@@ -79,71 +81,20 @@ class LtiStage:
             self._derived["inverse"] = _freeze(_inverse_or_raise(self.F))
         return self._derived["inverse"]
 
-    def input_image(self, eps: float, backward: bool = False) -> Ellipsoid:
-        """Lifted image of the input set under G, or under -F^{-1} G backward."""
-        key = ("backward" if backward else "forward", eps)
+    def _input_image(self, eps: float, backward: bool):
+        """Parts of the lifted image of the input set under G, or under
+        -F^{-1} G backward. The image shape is symmetrized and factored once;
+        an eps that is negative or not finite raises ValueError and an
+        overflowed shape EllipsumError."""
+        key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
-            u = self.input_set
-            shape = lift_degenerate(mapping @ u.shape @ mapping.T, eps)
-            self._derived[key] = Ellipsoid(center=mapping @ u.center, shape=shape)
+            center, shape, _, _ = self.input_set._parts
+            shape = mapping @ shape @ mapping.T
+            shape = _lift(0.5 * (shape + shape.T), eps)
+            factor = _factored(shape)
+            self._derived[key] = (mapping @ center, shape, factor, _half_logdet(factor))
         return self._derived[key]
-
-
-@dataclass(frozen=True, eq=False)
-class ReachTube:
-    """Ellipsoids along a horizon; index 0 is the initial (forward mode) or
-    terminal (backward mode) set."""
-
-    stages: tuple[Ellipsoid, ...]
-
-    def __post_init__(self):
-        stages = tuple(self.stages)
-        if not stages:
-            raise ValueError("a reach tube needs at least one stage")
-        dims = {e.dim for e in stages}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed dimensions in tube: {sorted(dims)}")
-        object.__setattr__(self, "stages", stages)
-
-    def __len__(self):
-        return len(self.stages)
-
-    def __iter__(self):
-        return iter(self.stages)
-
-    def __getitem__(self, index):
-        return self.stages[index]
-
-    def volumes(self) -> list[float]:
-        return [e.volume() for e in self.stages]
-
-
-def step_forward(
-    state: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
-) -> Ellipsoid:
-    """One forward step: outer ellipsoid of F.state (+) G.input_set.
-
-    F Q F' is symmetrized and factored once and is not validated again; a
-    singular image raises SingularMap. The pair step factors the output.
-    """
-    if state.dim != stage.n:
-        raise DimensionMismatch(f"state has dim {state.dim}, stage expects {stage.n}")
-    mapped = _image_parts(state._parts, stage.F)
-    return Ellipsoid._trusted(_pair_parts(mapped, stage.input_image(eps), opts)[0])
-
-
-def propagate_forward(
-    x0: Ellipsoid, stages, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
-) -> ReachTube:
-    """Iterate ``step_forward`` from the initial set over all stages.
-
-    Returns a tube of length len(stages) + 1 whose first entry is ``x0``.
-    """
-    tube = [x0]
-    for stage in stages:
-        tube.append(step_forward(tube[-1], stage, eps, opts))
-    return ReachTube(stages=tuple(tube))
 
 
 def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
@@ -164,29 +115,59 @@ def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _step(
+    x: Ellipsoid, stage: LtiStage, backward: bool, eps: float, opts: SolverOptions | None
+) -> Ellipsoid:
+    if x.dim != stage.n:
+        raise DimensionMismatch(f"set has dim {x.dim}, stage expects {stage.n}")
+    mapped = _image_parts(x._parts, stage.inverse() if backward else stage.F)
+    return Ellipsoid._trusted(_pair_parts(mapped, stage._input_image(eps, backward), opts)[0])
+
+
+def step_forward(
+    state: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
+) -> Ellipsoid:
+    """One forward step: outer ellipsoid of F.state (+) G.input_set.
+
+    A singular image F Q F' raises SingularMap, an overflow EllipsumError.
+    """
+    return _step(state, stage, False, eps, opts)
+
+
 def step_backward(
     terminal: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
 ) -> Ellipsoid:
     """One backward step: outer ellipsoid of F^{-1}.terminal (+) (-F^{-1}G).input_set.
 
     Requires a nonsingular F; near-singularity is detected through the
-    explicit inverse residual, once per stage. F^{-1} Q F^{-T} is symmetrized
-    and factored once and is not validated again. The pair step factors the
-    output.
+    explicit inverse residual, once per stage, and raises SingularMap.
     """
-    if terminal.dim != stage.n:
-        raise DimensionMismatch(f"terminal set has dim {terminal.dim}, stage expects {stage.n}")
-    mapped = _image_parts(terminal._parts, stage.inverse())
-    return Ellipsoid._trusted(_pair_parts(mapped, stage.input_image(eps, backward=True), opts)[0])
+    return _step(terminal, stage, True, eps, opts)
+
+
+def _propagate(x: Ellipsoid, stages, step, eps: float, opts: SolverOptions | None) -> tuple[Ellipsoid, ...]:
+    # ``step`` is the public step_forward or step_backward, looked up by the
+    # caller at call time, so a wrapper installed on it sees every step
+    tube = [x]
+    for stage in stages:
+        tube.append(step(tube[-1], stage, eps, opts))
+    return tuple(tube)
+
+
+def propagate_forward(
+    x0: Ellipsoid, stages, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
+) -> tuple[Ellipsoid, ...]:
+    """Iterate ``step_forward`` from the initial set over all stages.
+
+    Returns a tuple of len(stages) + 1 ellipsoids whose first entry is ``x0``.
+    """
+    return _propagate(x0, stages, step_forward, eps, opts)
 
 
 def propagate_backward(
     x1: Ellipsoid, stages, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
-) -> ReachTube:
+) -> tuple[Ellipsoid, ...]:
     """Iterate ``step_backward`` from the terminal set, walking the stages in
-    reverse. Index 0 of the result is the terminal set; increasing indices
-    move backward in time."""
-    tube = [x1]
-    for stage in reversed(list(stages)):
-        tube.append(step_backward(tube[-1], stage, eps, opts))
-    return ReachTube(stages=tuple(tube))
+    reverse. Returns a tuple whose entry 0 is the terminal set; increasing
+    indices move backward in time."""
+    return _propagate(x1, reversed(list(stages)), step_backward, eps, opts)

@@ -23,13 +23,13 @@ def two_disk_problem():
     return {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(), disk_dict()]}
 
 
+def refuse_token(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
 def read_strict_json(path):
     """Parse a result file, refusing the non-JSON tokens NaN and Infinity."""
-
-    def refuse(token):
-        raise ValueError(f"non-JSON token {token}")
-
-    return json.loads(open(path).read(), parse_constant=refuse)
+    return json.loads(open(path).read(), parse_constant=refuse_token)
 
 
 def large_pair_problem():
@@ -223,6 +223,28 @@ class TestReach:
         assert "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mode, G, input_set",
+        [
+            ("forward", [[1e200]], {"center": [0.0], "shape": [[1e200]]}),
+            ("forward", [[1e200]], {"center": [1e200], "shape": [[1e-300]]}),
+            ("backward", [[1e160, 0.0], [0.0, 1.0]], disk_dict()),
+        ],
+        ids=["forward-shape", "forward-center", "backward-shape"],
+    )
+    def test_overflowing_input_image_exits_3(self, tmp_path, capsys, mode, G, input_set):
+        dim = len(G)
+        stage = {"F": (0.5 * np.eye(dim)).tolist(), "G": G, "input": input_set}
+        anchor = {"center": [0.0] * dim, "shape": np.eye(dim).tolist()}
+        scenario = {"mode": mode, "stages": [stage], "eps": 1e-9}
+        scenario["initial" if mode == "forward" else "terminal"] = anchor
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": dim, "scenario": scenario})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["reach", inp, str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert "(overflow)" in err
+        assert "Traceback" not in err
+
     def test_missing_scenario_exits_2(self, tmp_path):
         inp = write_problem(tmp_path / "p.json", two_disk_problem())
         assert main(["reach", inp, str(tmp_path / "r.json")]) == 2
@@ -364,6 +386,29 @@ class TestCheck:
         assert main(["check", inp]) == 2
         assert "claim.beta" in capsys.readouterr().err
 
+    def test_extreme_claim_beta_fails_with_strict_json(self, tmp_path, capsys):
+        # d / (beta (beta + 1)) underflows to 0 and the derivatives are not finite
+        disk = Ellipsoid(np.zeros(2), np.eye(2))
+        outer = mvoe_pair(disk, disk).ellipsoid
+        problem = {
+            "version": "1",
+            "dimension": 2,
+            "ellipsoids": [disk.to_dict(), disk.to_dict()],
+            "claim": {"ellipsoid": outer.to_dict(), "beta": 1e300},
+        }
+        inp = write_problem(tmp_path / "p.json", problem)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check", inp]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out, parse_constant=refuse_token)
+        assert report["passed"] is False
+        by_name = {r["name"]: r for r in report["reports"]}
+        assert by_name["containment"]["passed"] is True
+        for name in ("stationarity", "consistency"):
+            assert by_name[name]["passed"] is False
+            assert by_name[name]["worst_violation"] is None
+
     def test_large_pair_passes(self, tmp_path, capsys):
         inp = write_problem(tmp_path / "p.json", large_pair_problem())
         assert main(["check", inp, "--directions", "200"]) == 0
@@ -392,6 +437,20 @@ def test_invalid_oracle_flag_exits_2(tmp_path, capsys, command, flag):
     err = capsys.readouterr().err
     assert flag[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["sum", "check"])
+def test_nonfinite_tolerance_exits_2(tmp_path, capsys, command, tol):
+    shapes = [((1.0, 0.0), (0.0, 2.0)), ((3.0, 0.0), (0.0, 50.0))]
+    problem = {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(shape=q) for q in shapes]}
+    inp = write_problem(tmp_path / "p.json", problem)
+    out = tmp_path / "r.json"
+    outputs = [str(out)] if command == "sum" else []
+    assert main([command, inp, *outputs, "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance must be positive and finite" in err
+    assert not out.exists()
 
 
 class TestTimeFlag:

@@ -671,6 +671,13 @@ class TestSolverOptions:
             SolverOptions(max_iterations=0)
         with pytest.raises(ValueError):
             SolverOptions(method="newton")
+        for tolerance in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SolverOptions(tolerance=tolerance)
+        for cap in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match="an integer"):
+                SolverOptions(max_iterations=cap)
+        assert SolverOptions(max_iterations=np.int64(3)).max_iterations == 3
 
     def test_unit_ball_volume_values(self):
         assert abs(unit_ball_volume(2) - math.pi) < 1e-15
