@@ -107,7 +107,7 @@ def _parse_options(obj, overrides: argparse.Namespace) -> SolverOptions:
         max_iterations = overrides.max_iter
     method = str(method).replace("-", "_")
     try:
-        return SolverOptions(tolerance=float(tolerance), max_iterations=int(max_iterations), method=method)
+        return SolverOptions(tolerance=float(tolerance), max_iterations=max_iterations, method=method)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid solver options: {exc}") from exc
 

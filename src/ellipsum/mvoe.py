@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _factored, unit_direction
+from .ellipsoid import Ellipsoid, _factored, _gram, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -66,7 +66,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -157,12 +158,11 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
     return sum(q / a for q, a in zip(mats, w))
 
 
-def _whitened_spectrum(factor: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    """Eigenvalues of L^{-1} Q2 L^{-T}, L the lower Cholesky factor of Q1:
-    the spectrum of Q1^{-1} Q2, ascending. No eigenvectors are formed."""
-    l_inv = linalg.lower_inverse(factor)
-    w = l_inv @ Q2 @ l_inv.T
-    values = linalg.sym_eigvals(0.5 * (w + w.T))
+def _whitened_spectrum(factor1: np.ndarray, factor2: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the exactly symmetric Gram matrix X X' of X = L1^{-1} L2,
+    Li the lower Cholesky factor of Qi: the spectrum of Q1^{-1} Q2,
+    ascending. No eigenvectors are formed."""
+    values = linalg.sym_eigvals(_gram(linalg.lower_inverse(factor1) @ factor2))
     if values[0] <= 0.0:
         raise NotPositiveDefinite(0, "second shape matrix is not positive definite")
     return values
@@ -171,13 +171,15 @@ def _whitened_spectrum(factor: np.ndarray, Q2: np.ndarray) -> np.ndarray:
 def generalized_spectrum(Q1, Q2) -> np.ndarray:
     """Positive eigenvalues of Q1^{-1} Q2, ascending.
 
-    Computed from the symmetric whitened matrix L^{-1} Q2 L^{-T} with
-    Q1 = L L' (L^{-1} by ``linalg.lower_inverse``), which has the same
-    spectrum and keeps the eigenproblem symmetric and well conditioned.
-    Only the eigenvalues are computed.
+    Both shapes are factored, Qi = Li Li', and the eigenvalues are those of
+    the Gram matrix X X' of the factor quotient X = L1^{-1} L2 (L1^{-1} by
+    ``linalg.lower_inverse``), which has the same spectrum and keeps the
+    eigenproblem symmetric (Golub & Van Loan, Matrix Computations, 8.7).
+    This is the route the pair step takes. Only the eigenvalues are
+    computed.
     """
     a, b = _check_pair(Q1, Q2)
-    return _whitened_spectrum(linalg.cholesky(a), b)
+    return _whitened_spectrum(linalg.cholesky(a), linalg.cholesky(b))
 
 
 def optimality_residual(lam, beta: float) -> float:
@@ -400,16 +402,18 @@ def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
     lower Cholesky factor, 1/2 log det shape): returns the outer ellipsoid's
     parts, beta, the iteration count and |optimality residual|.
 
-    Nothing is validated here, and of ``parts2`` only the center and shape
-    are read. Only the spectrum l of Q1^{-1} Q2 is computed, never its
-    eigenvectors. The output factor is the Cholesky factor of Q(beta), and
-    log det Q(beta) = log det Q1 + sum log g with g = (1 + 1/beta) +
-    (1 + beta) l, the eigenvalues of Q1^{-1} Q(beta).
+    Nothing is validated here, and the log-det of ``parts2`` is not read.
+    Only the spectrum l of Q1^{-1} Q2 is computed, as the eigenvalues of the
+    Gram matrix of L1^{-1} L2, never its eigenvectors. The output factor is
+    the Cholesky factor of Q(beta), and log det Q(beta) = log det Q1 +
+    sum log g with g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of
+    Q1^{-1} Q(beta); that sum and the residual are taken in one pass over
+    Python floats.
     """
     opts = opts or _DEFAULT_OPTIONS
     center1, q1, factor1, half_logdet1 = parts1
-    center2, q2, _, _ = parts2
-    lam = _whitened_spectrum(factor1, q2)
+    center2, q2, factor2, _ = parts2
+    lam = _whitened_spectrum(factor1, factor2)
     values = lam.tolist()
     method = _resolve_method(opts.method)
     if method == "newton":
@@ -422,11 +426,16 @@ def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
         beta, iterations = beta_trace_optimal(q1, q2), 0
     else:
         raise ValueError(f"unknown method {method!r}")
-    shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
+    w1, w2 = 1.0 + 1.0 / beta, 1.0 + beta
+    shape = w1 * q1 + w2 * q2  # q_of_beta, unchecked
     factor = _factored(shape)
-    g = (1.0 + 1.0 / beta) + (1.0 + beta) * lam
-    parts = (center1 + center2, shape, factor, half_logdet1 + 0.5 * float(np.sum(np.log(g))))
-    return parts, beta, iterations, abs(_residual_and_slope(values, beta)[0])
+    residual = log_g = 0.0
+    for value in values:
+        scaled = beta * value
+        residual += (1.0 - beta * scaled) / (1.0 + scaled)
+        log_g += math.log(w1 + w2 * value)
+    parts = (center1 + center2, shape, factor, half_logdet1 + 0.5 * log_g)
+    return parts, beta, iterations, abs(residual)
 
 
 def _result(parts, beta: float, iterations: int, residual: float, opts: SolverOptions) -> MvoeResult:

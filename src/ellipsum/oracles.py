@@ -54,6 +54,8 @@ IDENTITY_RTOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # widening of the spectral bracket on each side, in log beta: the spectrum
 # comes from the same whitening the solver uses, so an inaccurate one must
 # not exclude the true minimizer; log det Q(beta) has a single minimum in
@@ -188,6 +190,21 @@ def containment_check(outer: Ellipsoid, parts, n_dirs: int = 1000, seed: int = 0
     )
 
 
+def _beyond_float_range(lam: np.ndarray, beta: float, scale: float = 0.0) -> bool:
+    """Whether the closed forms at ``beta`` could overflow: with B = max(beta,
+    1/beta) and L = max(1, l_max), each term they form is at most
+    4 d (B L)^2 and each entry of Q(beta) at most 4 B ``scale``, the largest
+    shape entry. Python floats overflow to inf here without a warning."""
+    big = max(beta, 1.0 / beta)
+    top = big * float(np.max(lam, initial=1.0))
+    return not (4.0 * len(lam) * top * top < _FLOAT_MAX and 4.0 * big * scale < _FLOAT_MAX)
+
+
+def _not_evaluated(name: str, samples: int, beta: float) -> CheckReport:
+    details = f"not evaluated: the closed forms at beta {beta:.12g} leave the float range"
+    return CheckReport(name=name, passed=False, worst_violation=math.inf, samples=samples, details=details)
+
+
 def logdet_derivative(Q1, Q2, beta: float) -> float:
     """Closed-form d/dbeta log det Q(beta) via whitened solves:
 
@@ -224,13 +241,16 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     1e-8, raised for the two comparisons with (b) to FD_ROUNDOFF_FACTOR
     times its roundoff, eps * (cond(Q(beta)) + sum_i |log s_i|) / h with
     step h and s the singular values of Q(beta). The magnitude test forgives
-    (b) the same roundoff floor.
+    (b) the same roundoff floor. A ``beta`` at which these forms could
+    overflow fails with an infinite violation and is not evaluated.
     """
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
+    lam = generalized_spectrum(a, b)
+    if _beyond_float_range(lam, beta, max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))):
+        return _not_evaluated("stationarity", 3, beta)
     closed = logdet_derivative(a, b, beta)
     fd = logdet_derivative_fd(a, b, beta)
-    lam = generalized_spectrum(a, b)
     spectral = -optimality_residual(lam, beta) / (beta * (1.0 + beta))
 
     atol = 1e-8
@@ -261,10 +281,13 @@ def consistency_checks(lam, beta_plus: float) -> CheckReport:
     The optimality equation rearranges to sum_i l_i/(1 + beta l_i) =
     d / (beta (beta + 1)); this asserts that identity to IDENTITY_RTOL
     relative, plus strict positivity of the log-volume curvature at the
-    root.
+    root. A ``beta_plus`` at which these forms could overflow fails with an
+    infinite violation and is not evaluated.
     """
     values = np.asarray(lam, dtype=float).reshape(-1)
     d = values.shape[0]
+    if _beyond_float_range(values, beta_plus):
+        return _not_evaluated("consistency", d, beta_plus)
     lhs = float(np.sum(values / (1.0 + beta_plus * values)))
     rhs = d / (beta_plus * (beta_plus + 1.0))
     # rhs underflows to 0 at an extreme beta, which then fails the identity

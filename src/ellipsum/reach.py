@@ -10,10 +10,11 @@ The backward recursion mirrors this with the maps F^{-1} and -F^{-1} G.
 Rank-deficient input images G Q G' (tall G) are regularized as by
 ``lift_degenerate``; pass eps = 0 for well-posed inputs to keep steps exact.
 
-Both directions run one step: it maps the state's parts once, q = M Q M'
-with M = F forward or the stage's F^{-1} backward, factors q once by
-Cholesky, and hands it with the stage's input image, also parts, to the
-pair step. Only the tube entry becomes an ``Ellipsoid``, through
+Both directions run one step: it maps the state's parts once through
+their factor, q = (M L)(M L)' with Q = L L' and M = F forward or the
+stage's F^{-1} backward, a Gram product that is exactly symmetric; factors
+q once by Cholesky; and hands it with the stage's input image, also parts,
+to the pair step. Only the tube entry becomes an ``Ellipsoid``, through
 ``Ellipsoid._trusted``, which rejects a center that overflowed. ``F`` and
 ``G`` are validated once per stage; input images are computed ellipsoids
 like the step outputs, factored once per stage, direction and eps, and not
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _factored, _freeze, _half_logdet, _image_parts, _lift
+from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _half_logdet, _image_parts, _lift
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import SolverOptions, _pair_parts
 
@@ -82,16 +83,16 @@ class LtiStage:
         return self._derived["inverse"]
 
     def _input_image(self, eps: float, backward: bool):
-        """Parts of the lifted image of the input set under G, or under
-        -F^{-1} G backward. The image shape is symmetrized and factored once;
-        an eps that is negative or not finite raises ValueError and an
-        overflowed shape EllipsumError."""
+        """Parts of the lifted image of the input set under M = G, or
+        M = -F^{-1} G backward. The image shape is the Gram matrix N N' of
+        N = M L_U, L_U the input set's factor, which is exactly symmetric; it
+        is lifted and factored once. An eps that is negative or not finite
+        raises ValueError and an overflowed shape EllipsumError."""
         key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
-            center, shape, _, _ = self.input_set._parts
-            shape = mapping @ shape @ mapping.T
-            shape = _lift(0.5 * (shape + shape.T), eps)
+            center, _, lower, _ = self.input_set._parts
+            shape = _lift(_gram(mapping @ lower), eps)
             factor = _factored(shape)
             self._derived[key] = (mapping @ center, shape, factor, _half_logdet(factor))
         return self._derived[key]

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from ellipsum import Ellipsoid
+from ellipsum import Ellipsoid, LtiStage
 
 settings.register_profile(
     "ellipsum",
@@ -22,3 +22,13 @@ def spd_matrix(rng: np.random.Generator, dim: int, log_lo: float = -2.0, log_hi:
 
 def random_ellipsoid(rng: np.random.Generator, dim: int, log_lo: float = -2.0, log_hi: float = 2.0) -> Ellipsoid:
     return Ellipsoid(center=rng.normal(size=dim), shape=spd_matrix(rng, dim, log_lo, log_hi))
+
+
+def tall_stage(rng: np.random.Generator, n: int, m: int, low: float, high: float) -> LtiStage:
+    """F with singular values in [low, high] and a tall random G."""
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return LtiStage(
+        F=frame * rng.uniform(low, high, n),
+        G=rng.normal(size=(n, m)) / np.sqrt(n),
+        input_set=random_ellipsoid(rng, m),
+    )

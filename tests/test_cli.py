@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ import pytest
 from conftest import random_ellipsoid
 from ellipsum import Ellipsoid, mvoe_pair
 from ellipsum.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_problem(path, payload):
@@ -41,6 +46,18 @@ def large_pair_problem():
         a = rng.normal(size=(dim, dim))
         parts.append({"center": [0.0] * dim, "shape": (a @ a.T + dim * np.eye(dim)).tolist()})
     return {"version": "1", "dimension": dim, "ellipsoids": parts}
+
+
+def extreme_claim_problem(beta):
+    """Two disks with the solver's outer ellipsoid claimed at ``beta``."""
+    disk = Ellipsoid(np.zeros(2), np.eye(2))
+    outer = mvoe_pair(disk, disk).ellipsoid
+    return {
+        "version": "1",
+        "dimension": 2,
+        "ellipsoids": [disk.to_dict(), disk.to_dict()],
+        "claim": {"ellipsoid": outer.to_dict(), "beta": beta},
+    }
 
 
 def huge_ball_dict(dim=20, radius_sq=1e40):
@@ -387,18 +404,10 @@ class TestCheck:
         assert "claim.beta" in capsys.readouterr().err
 
     def test_extreme_claim_beta_fails_with_strict_json(self, tmp_path, capsys):
-        # d / (beta (beta + 1)) underflows to 0 and the derivatives are not finite
-        disk = Ellipsoid(np.zeros(2), np.eye(2))
-        outer = mvoe_pair(disk, disk).ellipsoid
-        problem = {
-            "version": "1",
-            "dimension": 2,
-            "ellipsoids": [disk.to_dict(), disk.to_dict()],
-            "claim": {"ellipsoid": outer.to_dict(), "beta": 1e300},
-        }
-        inp = write_problem(tmp_path / "p.json", problem)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["check", inp]) == 1
+        # the closed forms at this beta leave the float range, so the two
+        # checks fail without being evaluated, and without a RuntimeWarning
+        inp = write_problem(tmp_path / "p.json", extreme_claim_problem(1e300))
+        assert main(["check", inp]) == 1
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         report = json.loads(captured.out, parse_constant=refuse_token)
@@ -408,6 +417,18 @@ class TestCheck:
         for name in ("stationarity", "consistency"):
             assert by_name[name]["passed"] is False
             assert by_name[name]["worst_violation"] is None
+
+    @pytest.mark.parametrize("beta", [1e300, 1e160, 5e-324])
+    def test_extreme_claim_beta_leaves_stderr_empty(self, tmp_path, beta):
+        inp = write_problem(tmp_path / "p.json", extreme_claim_problem(beta))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "ellipsum.cli", "check", inp], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 1
+        assert run.stderr == ""
+        report = json.loads(run.stdout, parse_constant=refuse_token)
+        assert report["passed"] is False
 
     def test_large_pair_passes(self, tmp_path, capsys):
         inp = write_problem(tmp_path / "p.json", large_pair_problem())
@@ -450,6 +471,26 @@ def test_nonfinite_tolerance_exits_2(tmp_path, capsys, command, tol):
     assert main([command, inp, *outputs, "--tol", tol]) == 2
     err = capsys.readouterr().err
     assert "tolerance must be positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [2.9, 3.0, True, "5"])
+@pytest.mark.parametrize("command", ["sum", "check"])
+def test_noninteger_max_iterations_exits_2(tmp_path, capsys, command, cap):
+    # a cap that is not an integer is a parse error; int() would turn 2.9
+    # into a cap of 2 and stop the solver early (exit 3)
+    shapes = [((1.0, 0.0), (0.0, 2.0)), ((3.0, 0.0), (0.0, 50.0))]
+    problem = {
+        "version": "1",
+        "dimension": 2,
+        "ellipsoids": [disk_dict(shape=q) for q in shapes],
+        "options": {"max_iterations": cap},
+    }
+    inp = write_problem(tmp_path / "p.json", problem)
+    out = tmp_path / "r.json"
+    outputs = [str(out)] if command == "sum" else []
+    assert main([command, inp, *outputs]) == 2
+    assert "max_iterations must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 

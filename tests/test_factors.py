@@ -9,7 +9,7 @@ invariant is checked on every route that builds an ellipsoid.
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix
+from conftest import random_ellipsoid, spd_matrix, tall_stage
 from ellipsum import (
     Ellipsoid,
     LtiStage,
@@ -57,6 +57,25 @@ def test_factor_is_lower_cholesky_factor(dim, route):
     assert not np.any(np.triu(factor, 1))
     assert np.all(np.diagonal(factor) > 0.0)
     assert np.linalg.norm(factor @ factor.T - out.shape) <= 1e-12 * np.linalg.norm(out.shape)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_computed_shapes_are_exactly_symmetric(dim):
+    # no computed shape is averaged with its transpose: symmetry rests on
+    # each being a Gram product N N' or a sum of symmetric terms
+    rng = np.random.default_rng(1450 + dim)
+    x0 = random_ellipsoid(rng, dim)
+    shapes = [routes(dim)[route].shape for route in ("mvoe_pair", "mvoe_sum", "affine_image")]
+    m = max(1, dim // 3)  # columns of the tall G
+    # a tall G's image is singular and needs the lift, eps > 0
+    for eps, forward, backward in (
+        (0.0, stage(rng, dim, 0.5, 0.9), stage(rng, dim, 1.1, 2.0)),
+        (1e-9, stage(rng, dim, 0.5, 0.9), stage(rng, dim, 1.1, 2.0)),
+        (1e-9, tall_stage(rng, dim, m, 0.5, 0.9), tall_stage(rng, dim, m, 1.1, 2.0)),
+    ):
+        shapes += [e.shape for e in propagate_forward(x0, [forward] * 5, eps=eps)]
+        shapes += [e.shape for e in propagate_backward(x0, [backward] * 5, eps=eps)]
+    assert all(np.array_equal(s, s.T) for s in shapes)
 
 
 class TestNoEigenvectors:

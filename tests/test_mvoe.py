@@ -188,6 +188,18 @@ class TestGeneralizedSpectrum:
         assert worst <= 2.0 * worst_reference
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 6, 40])
+    def test_is_the_pair_step_route(self, dim):
+        # the scipy comparison above reads the pair step's own spectrum only
+        # while both take it the same way: the betas agree bit for bit
+        rng = np.random.default_rng(770 + dim)
+        for _ in range(10):
+            e1 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
+            e2 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
+            lam = generalized_spectrum(e1.shape, e2.shape)
+            assert mvoe_pair(e1, e2).beta == solve_beta_newton(lam)[0]
+
+
 class TestOptimalityResidual:
     def test_equal_unit_spectrum(self):
         assert optimality_residual(np.ones(4), 1.0) == 0.0
@@ -674,7 +686,7 @@ class TestSolverOptions:
         for tolerance in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 SolverOptions(tolerance=tolerance)
-        for cap in (2.5, 3.0, "3"):
+        for cap in (2.5, 3.0, "3", True):
             with pytest.raises(ValueError, match="an integer"):
                 SolverOptions(max_iterations=cap)
         assert SolverOptions(max_iterations=np.int64(3)).max_iterations == 3

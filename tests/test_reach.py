@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix
+from conftest import random_ellipsoid, spd_matrix, tall_stage
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -317,16 +317,6 @@ class TestInputImages:
     def test_invalid_eps_rejected(self, propagate, eps):
         with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
             propagate(interval(1.0), [scalar_stage(0.5, 1.0)], eps=eps)
-
-
-def tall_stage(rng, n: int, m: int, low: float, high: float) -> LtiStage:
-    """F with singular values in [low, high] and a tall random G."""
-    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return LtiStage(
-        F=frame * rng.uniform(low, high, n),
-        G=rng.normal(size=(n, m)) / np.sqrt(n),
-        input_set=random_ellipsoid(rng, m),
-    )
 
 
 def recording_kernel(monkeypatch):
