@@ -6,13 +6,7 @@ discrete-time reach-tube propagation built on the pairwise step, and
 brute-force verification oracles.
 """
 
-from .ellipsoid import (
-    Ellipsoid,
-    affine_image,
-    lift_degenerate,
-    unit_ball_volume,
-    unit_direction,
-)
+from .ellipsoid import Ellipsoid, affine_image, unit_ball_volume, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -83,7 +77,6 @@ __all__ = [
     "fixed_point_map",
     "generalized_spectrum",
     "golden_section_beta",
-    "lift_degenerate",
     "logdet_curvature",
     "mvoe_pair",
     "mvoe_sum",

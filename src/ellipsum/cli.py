@@ -107,7 +107,7 @@ def _parse_options(obj, overrides: argparse.Namespace) -> SolverOptions:
         max_iterations = overrides.max_iter
     method = str(method).replace("-", "_")
     try:
-        return SolverOptions(tolerance=float(tolerance), max_iterations=max_iterations, method=method)
+        return SolverOptions(tolerance=tolerance, max_iterations=max_iterations, method=method)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid solver options: {exc}") from exc
 
@@ -143,10 +143,9 @@ def load_problem(path: str) -> dict:
 
     if "dimension" not in raw:
         raise ProblemFormatError("problem file is missing 'dimension'")
-    try:
-        dim = int(raw["dimension"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"'dimension' must be an integer: {exc}") from exc
+    dim = raw["dimension"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ProblemFormatError(f"'dimension' must be an integer, got {dim!r}")
     if dim < 1:
         raise ProblemFormatError("'dimension' must be at least 1")
 

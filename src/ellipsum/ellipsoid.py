@@ -128,18 +128,14 @@ class Ellipsoid:
         z = np.linalg.solve(self.factor, x - self.center)
         return float(z @ z) <= 1.0 + MEMBERSHIP_TOL
 
-    def sqrt_shape(self) -> np.ndarray:
-        """Symmetric square root of the shape matrix, via eigendecomposition."""
-        values, vectors = linalg.sym_eig(self.shape)
-        return (vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.T
-
     def boundary_points(self, samples: int) -> np.ndarray:
         """Points on the boundary, as rows of an array.
 
         In 2-D, ``samples`` equally spaced angles on the unit circle are
-        mapped through x = Q^{1/2} v + q. In 3-D a latitude-longitude grid
-        with ``samples`` rows and columns is used. Other dimensions raise
-        UnsupportedDimension.
+        mapped through x = L v + q, L the stored Cholesky factor: any L with
+        L L' = Q maps the unit sphere onto the boundary. In 3-D a
+        latitude-longitude grid with ``samples`` rows and columns is used.
+        Other dimensions raise UnsupportedDimension.
         """
         if samples < 1:
             raise ValueError("samples must be positive")
@@ -160,7 +156,7 @@ class Ellipsoid:
             )
         else:
             raise UnsupportedDimension(f"boundary sampling needs dim 2 or 3, got {self.dim}")
-        return (self.sqrt_shape() @ v).T + self.center
+        return (self.factor @ v).T + self.center
 
     def to_dict(self) -> dict:
         """JSON-ready representation: {"center": [...], "shape": [[...], ...]}."""
@@ -235,19 +231,11 @@ def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
     return Ellipsoid._trusted(_image_parts(ell._parts, f))
 
 
-def lift_degenerate(shape_psd, eps: float) -> np.ndarray:
-    """Regularize a PSD matrix to a PD one: Q + eps * max(trace(Q)/d, 1) * I.
-
-    With eps = 0 this is the identity, so well-posed inputs pass through
-    untouched; rank-deficient shapes (e.g. from tall input maps) need a
-    small positive eps.
-    """
-    return _lift(linalg.symmetrize(shape_psd), eps)
-
-
 def _lift(q: np.ndarray, eps: float) -> np.ndarray:
-    """``lift_degenerate`` of a symmetric ``q`` that is not validated; an
-    eps that is negative or not finite raises ValueError."""
+    """Regularize a symmetric PSD ``q``, which is not validated, to a PD
+    matrix: q + eps * max(trace(q)/d, 1) * I. With eps = 0 this is the
+    identity; rank-deficient shapes (e.g. from tall input maps) need a small
+    positive eps. An eps that is negative or not finite raises ValueError."""
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError("eps must be nonnegative and finite")
     d = q.shape[0]

@@ -101,41 +101,20 @@ def lower_inverse(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eigensolve(solver, matrix):
-    m = np.asarray(matrix, dtype=float)
-    # eigvalsh returns finite values for some non-finite input
-    _require_finite(m)
-    try:
-        return solver(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
-
-
-def _require_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NoConvergence("symmetric eigensolver met non-finite values")
-
-
 def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
 
-    Backed by LAPACK's symmetric eigensolver, with the failure and
-    finiteness checks of ``sym_eig``: non-finite input or output raises
-    NoConvergence.
+    Backed by LAPACK's symmetric eigensolver. Non-finite input, a LAPACK
+    failure and non-finite output each raise NoConvergence.
     """
-    values = _eigensolve(np.linalg.eigvalsh, matrix)
-    _require_finite(values)
+    m = np.asarray(matrix, dtype=float)
+    # eigvalsh returns finite values for some non-finite input
+    if not np.isfinite(m).all():
+        raise NoConvergence("symmetric eigensolver met non-finite values")
+    try:
+        values = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise NoConvergence("symmetric eigensolver met non-finite values")
     return values
-
-
-def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition M = vectors @ diag(values) @ vectors.T.
-
-    Returns the plain tuple ``(values, vectors)``: eigenvalues ascending,
-    orthonormal eigenvectors as columns. Deterministic for identical input.
-    Backed by LAPACK's symmetric eigensolver.
-    """
-    values, vectors = _eigensolve(np.linalg.eigh, matrix)
-    _require_finite(values, vectors)
-    return values, vectors

@@ -52,11 +52,11 @@ class SolverOptions:
     ``tolerance`` is the authoritative stopping criterion: the step in log
     beta for Newton, the interval width relative to beta for bisection, and
     the step size relative to max(1, beta) for the fixed point. The optimality
-    residual is reported but not used to stop. The tolerance must be
-    positive and finite. ``max_iterations``, an integer of at least 1, caps
-    the iterations of every method; reaching it raises MaxIterationsExceeded.
-    ``method`` "auto" runs the Newton solver in every dimension, and results
-    report it as "newton".
+    residual is reported but not used to stop. The tolerance must be a
+    positive and finite number, not a bool. ``max_iterations``, an integer
+    of at least 1, caps the iterations of every method; reaching it raises
+    MaxIterationsExceeded. ``method`` "auto" runs the Newton solver in every
+    dimension, and results report it as "newton".
     """
 
     tolerance: float = 1e-12
@@ -64,6 +64,8 @@ class SolverOptions:
     method: str = "auto"
 
     def __post_init__(self):
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError("tolerance must be a number")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
         cap = self.max_iterations
@@ -119,6 +121,16 @@ def _check_pair(Q1, Q2) -> tuple[np.ndarray, np.ndarray]:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"shape matrices must be square and equal-sized, got {a.shape} and {b.shape}")
     return a, b
+
+
+def _spectrum(lam) -> np.ndarray:
+    """``lam`` as a flat float array, or ValueError unless it is a nonempty,
+    finite and positive spectrum: the one input check of the public root
+    solvers and of ``optimality_polynomial``."""
+    values = np.asarray(lam, dtype=float).reshape(-1)
+    if values.shape[0] < 1 or not (np.isfinite(values).all() and (values > 0.0).all()):
+        raise ValueError("spectrum must be a nonempty array of positive finite values")
+    return values
 
 
 def q_of_beta(Q1, Q2, beta: float) -> np.ndarray:
@@ -207,26 +219,17 @@ def logdet_curvature(lam, beta: float) -> float:
     return float(np.sum(terms) / (beta * (1.0 + beta)))
 
 
-def _elementary_symmetric(x: np.ndarray) -> np.ndarray:
-    """e_0..e_n of the entries of x, by multiplying out prod (t + x_i)."""
-    e = np.array([1.0])
-    for xi in x:
-        e = np.concatenate([e, [0.0]]) + xi * np.concatenate([[0.0], e])
-    return e
-
-
 def optimality_polynomial(lam) -> OptimalityPolynomial:
     """Build the expanded optimality polynomial for a positive spectrum.
 
     The elementary symmetric polynomials of the reciprocal eigenvalues are
-    accumulated by multiplying out the product one factor at a time, which
-    only ever adds positive terms and is therefore stable.
+    the coefficients of prod_i (t + 1/lambda_i), which ``np.poly`` multiplies
+    out one factor at a time; that only ever adds positive terms and is
+    therefore stable.
     """
-    values = np.asarray(lam, dtype=float).reshape(-1)
-    if values.shape[0] < 1 or np.any(values <= 0.0):
-        raise ValueError("spectrum must be a nonempty array of positive values")
+    values = _spectrum(lam)
     d = values.shape[0]
-    e = _elementary_symmetric(1.0 / values)
+    e = np.poly(-1.0 / values)
     mu = np.array([(d - r) * e[r] - (r - 1) * e[r - 1] for r in range(1, d)])
     coeffs = np.concatenate([[float(d)], mu, [-(d - 1) * e[d - 1], -d * e[d]]])
     return OptimalityPolynomial(coeffs=coeffs, esp=e, mu=mu)
@@ -268,7 +271,7 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     ``opts.max_iterations`` evaluations do not narrow the interval enough.
     """
     opts = opts or _DEFAULT_OPTIONS
-    values = np.asarray(lam, dtype=float).reshape(-1)
+    values = _spectrum(lam)
     if values.shape[0] != 2:
         raise DimensionNotTwo(f"bisection bracket needs d = 2, got d = {values.shape[0]}")
     l1, l2 = float(values[0]), float(values[1])
@@ -290,34 +293,25 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     return 0.5 * (lo + hi), iterations
 
 
-def _residual_and_slope(values: list[float], beta: float) -> tuple[float, float]:
-    """Optimality residual r(beta) and -dr/dbeta, in one pass over Python floats."""
-    r = 0.0
-    slope = 0.0  # -dr/dbeta = sum l (1 + 2 beta + beta^2 l) / (1 + beta l)^2
-    for value in values:
-        scaled = beta * value
-        inv = 1.0 / (1.0 + scaled)
-        r += (1.0 - beta * scaled) * inv
-        slope += value * (1.0 + 2.0 * beta + beta * scaled) * inv * inv
-    return r, slope
-
-
 def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, int]:
     """Safeguarded Newton iteration for the root, in t = log beta.
 
-    The bracket [-1/2 log lambda_max, -1/2 log lambda_min] holds the root in
-    any dimension. Each evaluation of the residual r shrinks it by the sign
-    of r; a Newton step that leaves it is replaced by its midpoint. Stops
-    when the step in t, i.e. the relative change of beta, is at most
+    Newton runs on the log-ratio residual k(t) = log A - log B - t, with
+    A = sum_i 1/(1 + beta l_i) and B = sum_i beta l_i/(1 + beta l_i). As
+    A - beta B = r(beta), the optimality residual, k has the sign and the
+    root of r. Its slope is k'(t) = -1 - D (1/A + 1/B) with
+    D = sum_i beta l_i/(1 + beta l_i)^2, and since D <= A B / d (Chebyshev's
+    sum inequality; A + B = d), k' lies in [-2, -1]: k is nearly linear in t
+    at any scale. The bracket [-1/2 log lambda_max, -1/2 log lambda_min]
+    holds the root in any dimension. Each evaluation of k shrinks it by the
+    sign of k; a Newton step that leaves it is replaced by its midpoint.
+    Stops when the step in t, i.e. the relative change of beta, is at most
     ``opts.tolerance``; raises MaxIterationsExceeded at
     ``opts.max_iterations``. A collapsed bracket (d = 1 or equal
     eigenvalues) returns lambda^{-1/2} after 0 iterations. Returns beta and
     the number of residual evaluations.
     """
-    values = np.asarray(lam, dtype=float).reshape(-1).tolist()
-    if not values or min(values) <= 0.0:
-        raise ValueError("spectrum must be a nonempty array of positive values")
-    return _newton(values, opts or _DEFAULT_OPTIONS)
+    return _newton(_spectrum(lam).tolist(), opts or _DEFAULT_OPTIONS)
 
 
 def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
@@ -328,14 +322,21 @@ def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     t = 0.5 * (lo + hi)
     for iteration in range(1, opts.max_iterations + 1):
         beta = math.exp(t)
-        r, slope = _residual_and_slope(values, beta)
-        if r == 0.0:
+        a = b = d = 0.0  # A, B and D of solve_beta_newton
+        for value in values:
+            scaled = beta * value
+            inv = 1.0 / (1.0 + scaled)
+            a += inv
+            b += scaled * inv
+            d += scaled * inv * inv
+        k = math.log(a / b) - t
+        if k == 0.0:
             return beta, iteration
-        if r > 0.0:
+        if k > 0.0:
             lo = t
         else:
             hi = t
-        t_next = t + r / (beta * slope)
+        t_next = t + k / (1.0 + d * (1.0 / a + 1.0 / b))
         # inclusive: a converged step may land on the end it was taken from
         if not lo <= t_next <= hi:
             t_next = 0.5 * (lo + hi)
@@ -369,11 +370,9 @@ def solve_beta_fixed_point(lam, beta0: float, opts: SolverOptions | None = None)
     carries the last iterate). Works in any dimension d >= 1.
     """
     opts = opts or _DEFAULT_OPTIONS
-    values = np.asarray(lam, dtype=float).reshape(-1)
-    if np.any(values <= 0.0):
-        raise ValueError("spectrum must be positive")
-    if beta0 <= 0.0:
-        raise NonPositiveBeta(f"starting beta must be positive, got {beta0!r}")
+    values = _spectrum(lam)
+    if not (math.isfinite(beta0) and beta0 > 0.0):
+        raise NonPositiveBeta(f"starting beta must be positive and finite, got {beta0!r}")
     beta = float(beta0)
     for iteration in range(1, opts.max_iterations + 1):
         beta_next = fixed_point_map(values, beta)

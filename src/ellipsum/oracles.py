@@ -36,7 +36,9 @@ CONTAINMENT_ROUNDOFF_FACTOR = 16.0
 #: relative agreement required between derivative routes
 DERIVATIVE_RTOL = 1e-4
 
-#: magnitude below which a derivative counts as vanishing (root claim)
+#: magnitude below which beta times a derivative, i.e. the derivative in
+#: log beta, counts as vanishing (root claim); scale-free, unlike d/dbeta,
+#: which decays like d/beta far above the root
 STATIONARY_TOL = 1e-6
 
 #: central-difference step, relative to beta
@@ -235,9 +237,12 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
 
     (a) the closed form via whitened solves, (b) a central finite
     difference, (c) the spectral sum scaled by -1/(beta (1+beta)). The check
-    passes when the three agree pairwise within DERIVATIVE_RTOL and all three
-    are below STATIONARY_TOL in magnitude, i.e. ``beta`` really is a
-    stationary point. Agreement has an absolute floor for values near zero:
+    passes when the three agree pairwise within DERIVATIVE_RTOL and all three,
+    times ``beta``, are below STATIONARY_TOL in magnitude, i.e. ``beta``
+    really is a stationary point. That product is the derivative in log
+    beta, -r(beta)/(1 + beta) with r the optimality residual; it is
+    scale-free and bounded by d, where d/dbeta itself decays like d/beta
+    far above the root. Agreement has an absolute floor for values near zero:
     1e-8, raised for the two comparisons with (b) to FD_ROUNDOFF_FACTOR
     times its roundoff, eps * (cond(Q(beta)) + sum_i |log s_i|) / h with
     step h and s the singular values of Q(beta). The magnitude test forgives
@@ -262,7 +267,7 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     agree_excess = max(
         abs(x - y) - (DERIVATIVE_RTOL * max(abs(x), abs(y)) + floor) for x, y, floor in triples
     )
-    magnitude_excess = max(abs(closed), abs(spectral), abs(fd) - fd_atol) - STATIONARY_TOL
+    magnitude_excess = beta * max(abs(closed), abs(spectral), abs(fd) - fd_atol) - STATIONARY_TOL
     worst = max(agree_excess, magnitude_excess)
     return CheckReport(
         name="stationarity",

@@ -7,8 +7,9 @@ ellipsoids by its minimum-volume outer approximation:
     X_{t+1} is contained in  MVOE( F X_t  (+)  G U_t ).
 
 The backward recursion mirrors this with the maps F^{-1} and -F^{-1} G.
-Rank-deficient input images G Q G' (tall G) are regularized as by
-``lift_degenerate``; pass eps = 0 for well-posed inputs to keep steps exact.
+Rank-deficient input images G Q G' (tall G) are regularized to
+G Q G' + eps max(tr(G Q G')/n, 1) I, the package's one lift, reached only
+through ``eps``; pass eps = 0 for well-posed inputs to keep steps exact.
 
 Both directions run one step: it maps the state's parts once through
 their factor, q = (M L)(M L)' with Q = L L' and M = F forward or the

@@ -494,6 +494,47 @@ def test_noninteger_max_iterations_exits_2(tmp_path, capsys, command, cap):
     assert not out.exists()
 
 
+def typed_number_problem(dimension=2, options=None, dim=2):
+    """The problem of the options tests above, with its numbers replaced;
+    ``dim`` = 1 swaps in a unit interval for its two ellipses."""
+    shapes = [((1.0, 0.0), (0.0, 2.0)), ((3.0, 0.0), (0.0, 50.0))]
+    ellipsoids = [disk_dict(shape=q) for q in shapes] if dim == 2 else [{"center": [0.0], "shape": [[1.0]]}]
+    problem = {"version": "1", "dimension": dimension, "ellipsoids": ellipsoids}
+    if options is not None:
+        problem["options"] = options
+    return problem
+
+
+@pytest.mark.parametrize("dimension, dim", [(2.9, 2), (2.0, 2), ("2", 2), (True, 2), (1.5, 1)])
+@pytest.mark.parametrize("command", ["sum", "check"])
+def test_nonintegral_dimension_exits_2(tmp_path, capsys, command, dimension, dim):
+    # int() would read 2.9 and "2" as 2, 1.5 as 1 and true as 1
+    inp = write_problem(tmp_path / "p.json", typed_number_problem(dimension=dimension, dim=dim))
+    out = tmp_path / "r.json"
+    outputs = [str(out)] if command == "sum" else []
+    assert main([command, inp, *outputs]) == 2
+    assert "'dimension' must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", [True, "1e-3"])
+@pytest.mark.parametrize("command", ["sum", "check"])
+def test_nonnumeric_tolerance_exits_2(tmp_path, capsys, command, tolerance):
+    # float() would read true as a tolerance of 1.0, which stops sum after
+    # one iteration at beta 0.388296 instead of 0.386152
+    inp = write_problem(tmp_path / "p.json", typed_number_problem(options={"tolerance": tolerance}))
+    out = tmp_path / "r.json"
+    outputs = [str(out)] if command == "sum" else []
+    assert main([command, inp, *outputs]) == 2
+    assert "tolerance must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_tolerance_is_a_number(tmp_path):
+    inp = write_problem(tmp_path / "p.json", typed_number_problem(options={"tolerance": 1}))
+    assert main(["sum", inp, str(tmp_path / "r.json")]) == 0
+
+
 class TestTimeFlag:
     def test_time_prints_to_stderr(self, tmp_path, capsys):
         inp = write_problem(tmp_path / "p.json", two_disk_problem())

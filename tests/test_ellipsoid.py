@@ -12,10 +12,10 @@ from ellipsum import (
     SingularMap,
     UnsupportedDimension,
     affine_image,
-    lift_degenerate,
     unit_ball_volume,
     unit_direction,
 )
+from ellipsum.ellipsoid import _lift
 
 
 def unit_disk():
@@ -151,33 +151,35 @@ class TestAffineImage:
 
 
 class TestLiftDegenerate:
+    """The one lift, which propagation reaches through ``eps``."""
+
     def test_zero_matrix(self):
-        out = lift_degenerate(np.zeros((2, 2)), 1e-9)
+        out = _lift(np.zeros((2, 2)), 1e-9)
         assert np.allclose(out, 1e-9 * np.eye(2), atol=0)
 
     def test_rank_deficient_formula(self):
         # trace 1, d = 2: trace_scale = max(0.5, 1) = 1, so eps itself is added
-        out = lift_degenerate(np.diag([1.0, 0.0]), 1e-6)
+        out = _lift(np.diag([1.0, 0.0]), 1e-6)
         assert np.allclose(out, np.diag([1.0 + 1e-6, 1e-6]), atol=0)
 
     def test_spd_volume_barely_changes(self):
         rng = np.random.default_rng(48)
         e = random_ellipsoid(rng, 3, log_lo=-1.0, log_hi=1.0)
-        lifted = Ellipsoid(e.center, lift_degenerate(e.shape, 1e-9))
+        lifted = Ellipsoid(e.center, _lift(e.shape, 1e-9))
         assert abs(lifted.volume() - e.volume()) / e.volume() < 1e-6
 
     def test_eps_zero_is_identity(self):
         m = spd_matrix(np.random.default_rng(3), 4)
-        assert np.array_equal(lift_degenerate(m, 0.0), m)
+        assert np.array_equal(_lift(m, 0.0), m)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            lift_degenerate(np.eye(2), -1e-9)
+            _lift(np.eye(2), -1e-9)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_nonfinite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="finite"):
-            lift_degenerate([[1.0]], eps)
+            _lift(np.eye(1), eps)
 
 
 class TestBoundaryPoints:
@@ -190,6 +192,12 @@ class TestBoundaryPoints:
         pts = Ellipsoid([1.0, 0.0], np.eye(2)).boundary_points(4)
         expected = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, -1.0]])
         assert np.allclose(pts, expected, atol=1e-12)
+
+    def test_diagonal_shape_semi_axes(self):
+        # the factor of a diagonal shape is its symmetric square root
+        pts = Ellipsoid([0.0, 0.0], np.diag([4.0, 9.0])).boundary_points(4)
+        expected = np.array([[2.0, 0.0], [0.0, 3.0], [-2.0, 0.0], [0.0, -3.0]])
+        assert np.allclose(pts, expected, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_points_satisfy_boundary_equation(self, dim):

@@ -1,5 +1,6 @@
-"""Every construction route stores the lower Cholesky factor of its shape, and
-the pair step works from the spectrum alone, without eigenvectors.
+"""Every construction route stores the lower Cholesky factor of its shape; the
+pair step works from the spectrum alone and boundary sampling from the factor,
+neither with eigenvectors.
 
 The whitening of the next pair step inverts the stored factor with
 ``linalg.lower_inverse``, which is only correct on triangular input, so the
@@ -22,7 +23,6 @@ from ellipsum import (
     step_backward,
     step_forward,
 )
-from ellipsum import linalg
 
 DIMS = [1, 2, 6, 40]  # 40 crosses the block size of the triangular inverse
 
@@ -82,9 +82,8 @@ class TestNoEigenvectors:
     @pytest.fixture
     def eigenvector_calls(self, monkeypatch):
         calls = []
-        eigh, sym_eig = np.linalg.eigh, linalg.sym_eig
+        eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
-        monkeypatch.setattr(linalg, "sym_eig", lambda m: calls.append("sym_eig") or sym_eig(m))
         return calls
 
     @pytest.mark.parametrize("method", ["auto", "fixed_point", "trace"])
@@ -109,4 +108,10 @@ class TestNoEigenvectors:
         x0 = random_ellipsoid(rng, dim)
         propagate_forward(x0, [stage(rng, dim, 0.5, 0.9)] * 5, eps=0.0)
         propagate_backward(x0, [stage(rng, dim, 1.1, 2.0)] * 5, eps=0.0)
+        assert eigenvector_calls == []
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_boundary_points(self, eigenvector_calls, dim):
+        e = random_ellipsoid(np.random.default_rng(1460 + dim), dim)
+        e.boundary_points(9)
         assert eigenvector_calls == []

@@ -308,6 +308,12 @@ class TestBisection:
         assert abs(b_fp - 9.128709e-9) < 1e-6 * b_fp
         assert abs(b_bis - b_fp) <= 1e-10 * b_fp
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_spectrum(self, bad):
+        # a NaN or inf entry makes the cubic NaN at every point of the bracket
+        with pytest.raises(ValueError, match="positive finite"):
+            solve_beta_bisection(np.array([bad, 4.0]))
+
     def test_iteration_cap(self):
         with pytest.raises(MaxIterationsExceeded) as info:
             solve_beta_bisection(np.array([1.0, 4.0]), SolverOptions(max_iterations=1))
@@ -339,8 +345,18 @@ class TestNewton:
             worst = max(worst, float(abs(beta - mp_root(lam)) / beta))
             most = max(most, iterations)
         assert worst <= 1e-12
-        # 16 at most over 5000 such spectra
+        # 7 at most over 5000 such spectra (test_iterations_on_wide_spectra)
         assert most <= 20
+
+    def test_iterations_on_wide_spectra(self):
+        # the log-ratio residual has a slope in [-2, -1] at any scale, so
+        # Newton converges in few steps even across 24 decades
+        rng = np.random.default_rng(77)
+        most = 0
+        for k in range(5000):
+            lam = 10.0 ** rng.uniform(-12.0, 12.0, 1 + k % 20)
+            most = max(most, solve_beta_newton(lam)[1])
+        assert most <= 8
 
     def test_frozen_root(self):
         beta, _ = solve_beta_newton(np.array([1.0, 4.0]))
@@ -372,6 +388,10 @@ class TestNewton:
             solve_beta_newton(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             solve_beta_newton(np.array([]))
+        # min and max skip a NaN, so unchecked the bracket would look collapsed
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive finite"):
+                solve_beta_newton(np.array([1.0, bad]))
 
 
 class TestFixedPoint:
@@ -412,8 +432,15 @@ class TestFixedPoint:
         assert info.value.iterations == 1
 
     def test_rejects_nonpositive_start(self):
-        with pytest.raises(NonPositiveBeta):
-            solve_beta_fixed_point(np.array([1.0, 2.0]), 0.0)
+        for beta0 in (0.0, math.nan, math.inf):
+            with pytest.raises(NonPositiveBeta):
+                solve_beta_fixed_point(np.array([1.0, 2.0]), beta0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_spectrum(self, bad):
+        # the map never settles on a NaN or inf entry
+        with pytest.raises(ValueError, match="positive finite"):
+            solve_beta_fixed_point(np.array([1.0, bad]), 1.0)
 
 
 class TestTraceOptimal:
@@ -685,6 +712,9 @@ class TestSolverOptions:
             SolverOptions(method="newton")
         for tolerance in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
+                SolverOptions(tolerance=tolerance)
+        for tolerance in (True, "1e-3", None):
+            with pytest.raises(ValueError, match="tolerance must be a number"):
                 SolverOptions(tolerance=tolerance)
         for cap in (2.5, 3.0, "3", True):
             with pytest.raises(ValueError, match="an integer"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ellipsum import (
     mvoe_pair,
     solve_beta_bisection,
     solve_beta_fixed_point,
+    solve_beta_newton,
 )
 from ellipsum.oracles import logdet_derivative, logdet_derivative_fd, sample_directions
 
@@ -189,6 +191,27 @@ class TestStationarity:
                     failed.append((seed, report.details))
                 acc = result.ellipsoid
         assert not failed
+
+    @pytest.mark.parametrize("beta", [1e7, 1e100])
+    def test_far_above_root_fails(self, beta):
+        # the root is 1; d/dbeta decays like d/beta, so only the derivative in
+        # log beta (about -2 here) tells these betas from a root
+        from ellipsum import stationarity_check
+
+        report = stationarity_check(np.eye(2), np.eye(2), beta)
+        assert not report.passed
+        assert report.worst_violation > 1.0
+
+    def test_solver_roots_pass_at_shape_scales(self):
+        from ellipsum import stationarity_check
+
+        rng = np.random.default_rng(89)
+        for scale1, scale2 in itertools.product(10.0 ** np.arange(-6, 7, 3), repeat=2):
+            for dim in (2, 5):
+                q1, q2 = scale1 * spd_matrix(rng, dim), scale2 * spd_matrix(rng, dim)
+                beta, _ = solve_beta_newton(generalized_spectrum(q1, q2))
+                report = stationarity_check(q1, q2, beta)
+                assert report.passed, (scale1, scale2, report.details)
 
     def test_off_root_fails_but_routes_agree(self):
         from ellipsum import stationarity_check

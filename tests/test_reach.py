@@ -16,7 +16,7 @@ from ellipsum import (
     step_forward,
     unit_ball_volume,
 )
-from ellipsum.ellipsoid import affine_image, lift_degenerate
+from ellipsum.ellipsoid import _lift, affine_image
 
 
 def interval(radius: float) -> Ellipsoid:
@@ -82,7 +82,7 @@ class TestStepForward:
         mapped = affine_image(state, stage.F)
         driven = Ellipsoid(
             stage.G @ stage.input_set.center,
-            lift_degenerate(stage.G @ stage.input_set.shape @ stage.G.T, 1e-9),
+            _lift(stage.G @ stage.input_set.shape @ stage.G.T, 1e-9),
         )
         report = containment_check(out, [mapped, driven], n_dirs=1000, seed=5)
         assert report.passed, report.details
@@ -131,7 +131,7 @@ class TestPropagateForward:
             mapped = affine_image(tube[k], stage.F)
             driven = Ellipsoid(
                 stage.G @ stage.input_set.center,
-                lift_degenerate(stage.G @ stage.input_set.shape @ stage.G.T, 1e-9),
+                _lift(stage.G @ stage.input_set.shape @ stage.G.T, 1e-9),
             )
             report = containment_check(tube[k + 1], [mapped, driven], n_dirs=1000, seed=7)
             assert report.passed, report.details
