@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .ellipsoid import Ellipsoid
-from .errors import EllipsumError, SingularMap, UnsupportedDimension
+from .errors import EllipsumError, SingularMap
 from .mvoe import SolverOptions, generalized_spectrum, mvoe_pair, mvoe_sum
 from .oracles import (
     CheckReport,
@@ -112,6 +112,20 @@ def _parse_options(obj, overrides: argparse.Namespace) -> SolverOptions:
         raise ProblemFormatError(f"invalid solver options: {exc}") from exc
 
 
+def _json_number(value, where: str, positive: bool) -> float:
+    """A problem-file number: a finite JSON number, never a bool or a
+    string, that is positive, or nonnegative when ``positive`` is false."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (number > 0.0 if positive else number >= 0.0):
+            return number
+    kind = "positive" if positive else "nonnegative"
+    raise ProblemFormatError(f"{where} must be a {kind} finite number, got {value!r}")
+
+
 def _parse_stage(obj, index: int, dim: int) -> LtiStage:
     where = f"scenario.stages[{index}]"
     if not isinstance(obj, dict):
@@ -132,11 +146,11 @@ def _parse_stage(obj, index: int, dim: int) -> LtiStage:
 def load_problem(path: str) -> dict:
     """Parse and validate a problem file into plain Python objects."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8 and integers past the digit limit
         raise ProblemFormatError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProblemFormatError("problem file must be a JSON object")
@@ -174,13 +188,7 @@ def load_problem(path: str) -> dict:
         if not isinstance(stage_objs, list):
             raise ProblemFormatError("scenario.stages must be a list")
         stages = [_parse_stage(obj, k, dim) for k, obj in enumerate(stage_objs)]
-        eps = sobj.get("eps", DEFAULT_EPS)
-        try:
-            eps = float(eps)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"scenario.eps must be a number: {exc}") from exc
-        if not (math.isfinite(eps) and eps >= 0.0):
-            raise ProblemFormatError("scenario.eps must be nonnegative and finite")
+        eps = _json_number(sobj.get("eps", DEFAULT_EPS), "scenario.eps", positive=False)
         scenario = {"mode": mode, "anchor": anchor, "stages": stages, "eps": eps}
 
     claim = None
@@ -191,12 +199,7 @@ def load_problem(path: str) -> dict:
         claimed = _parse_ellipsoid(cobj["ellipsoid"], "claim.ellipsoid", dim)
         beta = cobj.get("beta")
         if beta is not None:
-            try:
-                beta = float(beta)
-            except (TypeError, ValueError) as exc:
-                raise ProblemFormatError(f"claim.beta must be a number: {exc}") from exc
-            if not (math.isfinite(beta) and beta > 0.0):
-                raise ProblemFormatError("claim.beta must be a positive finite number")
+            beta = _json_number(beta, "claim.beta", positive=True)
         claim = {"ellipsoid": claimed, "beta": beta}
 
     if not ellipsoids and scenario is None:
@@ -230,20 +233,12 @@ def _timed(args, label: str, fn):
 
 
 def cmd_sum(args) -> int:
-    try:
-        _check_oracle_flags(args)
-        problem = load_problem(args.input)
-        opts = _parse_options(problem["options_raw"], args)
-        if not problem["ellipsoids"]:
-            raise ProblemFormatError("'sum' needs at least one ellipsoid")
-    except ProblemFormatError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-
-    try:
-        result, betas = _timed(args, "sum", lambda: mvoe_sum(problem["ellipsoids"], opts))
-    except EllipsumError as exc:
-        return _fail(f"solver error: {exc}", EXIT_NUMERIC)
-
+    _check_oracle_flags(args)
+    problem = load_problem(args.input)
+    opts = _parse_options(problem["options_raw"], args)
+    if not problem["ellipsoids"]:
+        raise ProblemFormatError("'sum' needs at least one ellipsoid")
+    result, betas = _timed(args, "sum", lambda: mvoe_sum(problem["ellipsoids"], opts))
     payload = {
         "version": "1",
         "command": "sum",
@@ -271,25 +266,21 @@ def cmd_sum(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    try:
-        problem = load_problem(args.input)
-        opts = _parse_options(problem["options_raw"], args)
-        scenario = problem["scenario"]
-        if scenario is None:
-            raise ProblemFormatError("'reach' needs a scenario")
-    except ProblemFormatError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-
+    problem = load_problem(args.input)
+    opts = _parse_options(problem["options_raw"], args)
+    scenario = problem["scenario"]
+    if scenario is None:
+        raise ProblemFormatError("'reach' needs a scenario")
     mode = scenario["mode"]
     propagate = propagate_forward if mode == "forward" else propagate_backward
     try:
         tube = _timed(
             args, "reach", lambda: propagate(scenario["anchor"], scenario["stages"], scenario["eps"], opts)
         )
-    except EllipsumError as exc:
-        if mode == "backward" and isinstance(exc, SingularMap):
-            return _fail(f"singular state matrix: {exc}", EXIT_SINGULAR)
-        return _fail(f"solver error: {exc}", EXIT_NUMERIC)
+    except SingularMap as exc:
+        if mode == "forward":
+            raise
+        return _fail(f"singular state matrix: {exc}", EXIT_SINGULAR)
 
     payload = {
         "version": "1",
@@ -311,24 +302,17 @@ def _boundary_rows(ell: Ellipsoid, samples: int) -> list[list[str]]:
 
 
 def cmd_boundary(args) -> int:
-    try:
-        problem = load_problem(args.input)
-        if not problem["ellipsoids"]:
-            raise ProblemFormatError("'boundary' needs at least one ellipsoid")
-    except ProblemFormatError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-
+    problem = load_problem(args.input)
+    if not problem["ellipsoids"]:
+        raise ProblemFormatError("'boundary' needs at least one ellipsoid")
     dim = problem["dimension"]
     if dim not in (2, 3):
         return _fail(f"boundary sampling needs dimension 2 or 3, got {dim}", EXIT_UNSUPPORTED_DIM)
     if args.samples < 1:
-        return _fail("--samples must be positive", EXIT_PARSE)
+        raise ProblemFormatError("--samples must be positive")
 
     header = [f"x{i + 1}" for i in range(dim)]
-    try:
-        tables = [_boundary_rows(e, args.samples) for e in problem["ellipsoids"]]
-    except UnsupportedDimension as exc:
-        return _fail(str(exc), EXIT_UNSUPPORTED_DIM)
+    tables = [_boundary_rows(e, args.samples) for e in problem["ellipsoids"]]
 
     def render(rows, with_index):
         head = (["index"] + header) if with_index else header
@@ -373,44 +357,37 @@ def _pair_step_reports(shape1, shape2, beta, log_volume) -> list:
 
 
 def cmd_check(args) -> int:
-    try:
-        _check_oracle_flags(args)
-        problem = load_problem(args.input)
-        opts = _parse_options(problem["options_raw"], args)
-        if not problem["ellipsoids"]:
-            raise ProblemFormatError("'check' needs at least one ellipsoid")
-    except ProblemFormatError as exc:
-        return _fail(str(exc), EXIT_PARSE)
-
+    _check_oracle_flags(args)
+    problem = load_problem(args.input)
+    opts = _parse_options(problem["options_raw"], args)
+    if not problem["ellipsoids"]:
+        raise ProblemFormatError("'check' needs at least one ellipsoid")
     parts = problem["ellipsoids"]
     claim = problem["claim"]
     reports = []
 
-    try:
-        if claim is not None:
-            outer = claim["ellipsoid"]
-            reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
-            if claim["beta"] is not None and len(parts) == 2:
-                reports.extend(
-                    _pair_step_reports(parts[0].shape, parts[1].shape, claim["beta"], outer.log_volume())
+    if claim is not None:
+        outer = claim["ellipsoid"]
+        reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
+        if claim["beta"] is not None and len(parts) == 2:
+            reports.extend(
+                _pair_step_reports(parts[0].shape, parts[1].shape, claim["beta"], outer.log_volume())
+            )
+    else:
+        def solve_and_check():
+            acc = parts[0]
+            step_reports = []
+            for nxt in parts[1:]:
+                result = mvoe_pair(acc, nxt, opts)
+                step_reports.extend(
+                    _pair_step_reports(acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume())
                 )
-        else:
-            def solve_and_check():
-                acc = parts[0]
-                step_reports = []
-                for nxt in parts[1:]:
-                    result = mvoe_pair(acc, nxt, opts)
-                    step_reports.extend(
-                        _pair_step_reports(acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume())
-                    )
-                    acc = result.ellipsoid
-                return acc, step_reports
+                acc = result.ellipsoid
+            return acc, step_reports
 
-            outer, step_reports = _timed(args, "check", solve_and_check)
-            reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
-            reports.extend(step_reports)
-    except EllipsumError as exc:
-        return _fail(f"solver error: {exc}", EXIT_NUMERIC)
+        outer, step_reports = _timed(args, "check", solve_and_check)
+        reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
+        reports.extend(step_reports)
 
     all_passed = all(r.passed for r in reports)
     payload = {
@@ -487,8 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. Commands raise; this is
+    the one place that maps a parse error to 2 and an ``EllipsumError`` to 3."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ProblemFormatError as exc:
+        return _fail(str(exc), EXIT_PARSE)
+    except EllipsumError as exc:
+        return _fail(f"solver error: {exc}", EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

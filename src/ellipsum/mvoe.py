@@ -133,6 +133,15 @@ def _spectrum(lam) -> np.ndarray:
     return values
 
 
+def _positive_beta(beta) -> float:
+    """``beta`` as a float, or NonPositiveBeta unless it is positive and
+    finite: the beta check of the scalar spectrum helpers and of
+    ``solve_beta_fixed_point``'s start."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise NonPositiveBeta(f"beta must be positive and finite, got {beta!r}")
+    return float(beta)
+
+
 def q_of_beta(Q1, Q2, beta: float) -> np.ndarray:
     """Outer shape matrix (1 + 1/beta) Q1 + (1 + beta) Q2 for beta > 0."""
     a, b = _check_pair(Q1, Q2)
@@ -199,9 +208,8 @@ def optimality_residual(lam, beta: float) -> float:
 
     Zero exactly at the volume-optimal parameter.
     """
-    values = np.asarray(lam, dtype=float).reshape(-1)
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta!r}")
+    values = _spectrum(lam)
+    beta = _positive_beta(beta)
     return float(np.sum((1.0 - beta * beta * values) / (1.0 + beta * values)))
 
 
@@ -212,9 +220,8 @@ def logdet_curvature(lam, beta: float) -> float:
     (1 + beta l_i)^2, which is strictly positive for positive beta and
     spectrum, so the unique stationary point is a minimum.
     """
-    values = np.asarray(lam, dtype=float).reshape(-1)
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta!r}")
+    values = _spectrum(lam)
+    beta = _positive_beta(beta)
     terms = (beta * beta * values**2 + (1.0 + 2.0 * beta) * values) / (1.0 + beta * values) ** 2
     return float(np.sum(terms) / (beta * (1.0 + beta)))
 
@@ -241,24 +248,26 @@ def bracket_beta_2d(lambda1: float, lambda2: float) -> tuple[float, float]:
     The lower bound is the abscissa of the cubic's local minimum (the cubic
     is negative and decreasing at 0, so the root lies right of it); the
     upper bound is the positive zero of the parabola obtained by dropping
-    either eigenvalue, whichever is smaller.
+    either eigenvalue, whichever is smaller. Both are taken in rationalized
+    form through h = 1/(1/l1 + 1/l2), so no product of eigenvalues is
+    formed; only within a factor of 8 of the ends of the float range do they
+    fall back to the valid but loose bounds 0 and inf.
     """
     if lambda1 <= 0.0 or lambda2 <= 0.0:
         raise ValueError("eigenvalues must be positive")
-    s = lambda1 + lambda2
-    p = lambda1 * lambda2
-    lo = (math.sqrt(s * (s + 6.0 * p)) - s) / (6.0 * p)
-    hi = min(
-        (lambda1 + math.sqrt(lambda1 * (lambda1 + 8.0))) / (2.0 * lambda1),
-        (lambda2 + math.sqrt(lambda2 * (lambda2 + 8.0))) / (2.0 * lambda2),
-    )
+    h = 1.0 / (1.0 / lambda1 + 1.0 / lambda2)
+    lo = 1.0 / (1.0 + math.sqrt(1.0 + 6.0 * h))
+    hi = min(0.5 * (1.0 + math.sqrt(1.0 + 8.0 / lam)) for lam in (lambda1, lambda2))
     return lo, hi
 
 
-def _planar_cubic(lambda1: float, lambda2: float, beta: float) -> float:
-    """2 l1 l2 b^3 + (l1 + l2) b^2 - (l1 + l2) b - 2, evaluated by Horner."""
-    s = lambda1 + lambda2
-    return ((2.0 * lambda1 * lambda2 * beta + s) * beta - s) * beta - 2.0
+def _planar_cubic_sign(lambda1: float, lambda2: float, beta: float) -> float:
+    """The planar cubic 2 l1 l2 b^3 + s b^2 - s b - 2 divided by s b^2, with
+    s = l1 + l2 and h = l1 l2 / s: 2 h b + 1 - (1 + 2/(s b))/b. It has the
+    cubic's sign, and no term overflows for any positive spectrum and any
+    beta in the spectral bracket."""
+    h = 1.0 / (1.0 / lambda1 + 1.0 / lambda2)
+    return 2.0 * h * beta + 1.0 - (1.0 + 2.0 / ((lambda1 + lambda2) * beta)) / beta
 
 
 def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float, int]:
@@ -276,7 +285,11 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
         raise DimensionNotTwo(f"bisection bracket needs d = 2, got d = {values.shape[0]}")
     l1, l2 = float(values[0]), float(values[1])
     lo, hi = bracket_beta_2d(l1, l2)
-    f_lo = _planar_cubic(l1, l2, lo)
+    # the spectral bracket of the module docstring keeps the interval narrow
+    # where the planar bounds are loose, e.g. near 1 for two large eigenvalues
+    lo = max(lo, 1.0 / math.sqrt(max(l1, l2)))
+    hi = min(hi, 1.0 / math.sqrt(min(l1, l2)))
+    f_lo = _planar_cubic_sign(l1, l2, lo)
     iterations = 0
     while hi - lo >= opts.tolerance * hi:
         if iterations == opts.max_iterations:
@@ -284,7 +297,7 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # interval has collapsed to adjacent floats
             break
-        f_mid = _planar_cubic(l1, l2, mid)
+        f_mid = _planar_cubic_sign(l1, l2, mid)
         iterations += 1
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
@@ -354,9 +367,10 @@ def fixed_point_map(lam, beta: float) -> float:
     Rearranges the optimality equation so its root is the unique fixed
     point; g maps the positive axis into itself.
     """
-    values = np.asarray(lam, dtype=float).reshape(-1)
-    if beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be positive, got {beta!r}")
+    return _fixed_point_map(_spectrum(lam), _positive_beta(beta))
+
+
+def _fixed_point_map(values: np.ndarray, beta: float) -> float:
     denom = 1.0 + beta * values
     return math.sqrt(float(np.sum(1.0 / denom)) / float(np.sum(values / denom)))
 
@@ -371,11 +385,9 @@ def solve_beta_fixed_point(lam, beta0: float, opts: SolverOptions | None = None)
     """
     opts = opts or _DEFAULT_OPTIONS
     values = _spectrum(lam)
-    if not (math.isfinite(beta0) and beta0 > 0.0):
-        raise NonPositiveBeta(f"starting beta must be positive and finite, got {beta0!r}")
-    beta = float(beta0)
+    beta = _positive_beta(beta0)
     for iteration in range(1, opts.max_iterations + 1):
-        beta_next = fixed_point_map(values, beta)
+        beta_next = _fixed_point_map(values, beta)
         if abs(beta_next - beta) < opts.tolerance * max(1.0, beta):
             return beta_next, iteration
         beta = beta_next

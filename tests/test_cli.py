@@ -104,6 +104,17 @@ class TestSum:
         assert main(["sum", str(inp), str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"dimension": 1' + b"0" * 5000 + b"}", b'{"dimension": "\xff"}'],
+        ids=["long-integer", "not-utf8"],
+    )
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, content):
+        inp = tmp_path / "bad.json"
+        inp.write_bytes(content)
+        assert main(["sum", str(inp), str(tmp_path / "r.json")]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["sum", str(tmp_path / "absent.json"), str(tmp_path / "r.json")]) == 2
 
@@ -226,6 +237,8 @@ class TestReach:
             ("forward", "G", [[math.inf]]),
             ("forward", "F", [[math.nan]]),
             ("backward", "F", [[math.nan]]),
+            ("forward", "eps", True),
+            ("forward", "eps", "1e-9"),
         ],
     )
     def test_nonfinite_scenario_value_exits_2(self, tmp_path, capsys, mode, key, value):
@@ -239,6 +252,8 @@ class TestReach:
         err = capsys.readouterr().err
         assert "finite" in err
         assert "Traceback" not in err
+        if key == "eps":
+            assert "scenario.eps" in err
 
     @pytest.mark.parametrize(
         "mode, G, input_set",
@@ -389,7 +404,7 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert all(r["passed"] for r in report["reports"])
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, "abc"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, "abc", True, "0.5"])
     def test_invalid_claim_beta_exits_2(self, tmp_path, capsys, beta):
         disk = Ellipsoid(np.zeros(2), np.eye(2))
         outer = mvoe_pair(disk, disk).ellipsoid
