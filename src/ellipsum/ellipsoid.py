@@ -65,12 +65,13 @@ class Ellipsoid:
         center = np.array(self.center, dtype=float).reshape(-1)
         if not np.all(np.isfinite(center)):
             raise ValueError("center has non-finite entries")
-        shape = linalg.symmetrize(self.shape)
-        if center.shape[0] != shape.shape[0]:
-            raise DimensionMismatch(
-                f"center has dim {center.shape[0]}, shape matrix is {shape.shape[0]}x{shape.shape[0]}"
-            )
-        chol = linalg.cholesky(shape)  # raises NotPositiveDefinite for invalid shapes
+        with np.errstate(all="ignore"):
+            shape = linalg.symmetrize(self.shape)
+            if center.shape[0] != shape.shape[0]:
+                raise DimensionMismatch(
+                    f"center has dim {center.shape[0]}, shape matrix is {shape.shape[0]}x{shape.shape[0]}"
+                )
+            chol = linalg._cholesky(shape)  # raises NotPositiveDefinite for invalid shapes
         self._store((center, shape, chol, _half_logdet(chol)))
 
     @classmethod
@@ -191,9 +192,10 @@ def _gram(n: np.ndarray) -> np.ndarray:
 
 def _factored(shape: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a computed shape; one with non-finite entries
-    (an overflow) raises EllipsumError rather than NotPositiveDefinite."""
+    (an overflow) raises EllipsumError rather than NotPositiveDefinite.
+    Runs inside the caller's np.errstate(all="ignore")."""
     try:
-        return linalg.cholesky(shape)
+        return linalg._cholesky(shape)
     except NotPositiveDefinite as exc:
         if not np.isfinite(shape).all():
             raise EllipsumError("shape matrix has non-finite entries (overflow)") from exc
@@ -206,7 +208,8 @@ def _image_parts(parts, matrix: np.ndarray):
     F Q F' is formed as the Gram matrix of F L, L the factor of Q, which is
     exactly symmetric, and factored once; it is not validated further. An
     image that is not positive definite raises SingularMap; an overflowed
-    center is left for ``Ellipsoid._trusted`` to catch.
+    center is left for ``Ellipsoid._trusted`` to catch. Runs inside the
+    caller's np.errstate(all="ignore").
     """
     center, _, factor, _ = parts
     shape = _gram(matrix @ factor)
@@ -228,7 +231,9 @@ def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
         raise DimensionMismatch(f"map shape {f.shape} incompatible with dim {ell.dim}")
     if not np.isfinite(f).all():
         raise ValueError("map has non-finite entries")
-    return Ellipsoid._trusted(_image_parts(ell._parts, f))
+    with np.errstate(all="ignore"):
+        parts = _image_parts(ell._parts, f)
+    return Ellipsoid._trusted(parts)
 
 
 def _lift(q: np.ndarray, eps: float) -> np.ndarray:

@@ -1,11 +1,28 @@
-"""Thin wrappers over numpy's LAPACK routines for symmetric matrices, and
-the inverse of a lower-triangular factor.
+"""LAPACK kernels for symmetric matrices, and the inverse of a
+lower-triangular factor.
 
-Each wrapper checks its output and turns LAPACK failures into the package's
-typed errors. Everything works on dense float64 numpy arrays.
+The kernels call the gufuncs that ``np.linalg`` itself wraps, from
+``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv`` and
+``eigvalsh_lo``, each with signature "d->d". That skips the wrappers' array
+wrapping, type resolution and per-call ``np.errstate``, which at d = 2 cost
+several times the LAPACK call. A gufunc that fails fills its output with NaN
+and raises the floating-point invalid flag. The kernels check their output
+and turn that NaN into the package's typed errors. The flag is silenced by
+one ``np.errstate(all="ignore")`` per unit of work: each public function
+here holds it around its private kernel (``_cholesky``, ``_lower_inverse``,
+``_sym_eigvals``), and the pair step, the reach step, ``affine_image`` and
+``Ellipsoid`` construction call the kernels inside their own single
+errstate. So no call leaks a ``RuntimeWarning``, and the caller's
+``np.geterr()`` is restored on return and on raise.
+
+``_umath_linalg`` is private numpy API and is imported in this module only.
+These names and signatures are the ones ``np.linalg`` has called since
+numpy 1.22; tests/test_linalg.py pins their behaviour against the
+``np.linalg`` wrappers. Everything works on dense float64 numpy arrays.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -37,11 +54,9 @@ def symmetrize(matrix) -> np.ndarray:
 
 
 def _lapack_cholesky(m: np.ndarray) -> np.ndarray | None:
-    """LAPACK's lower factor of ``m``, or None when it fails or is not finite."""
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
+    """LAPACK's lower factor of ``m``, or None when it fails (a NaN output)
+    or is not finite."""
+    lower = _umath_linalg.cholesky_lo(m, signature="d->d")
     return lower if np.isfinite(lower).all() else None
 
 
@@ -69,6 +84,12 @@ def cholesky(matrix: np.ndarray) -> np.ndarray:
     is not positive definite. Only the lower triangle of the input is read.
     """
     m = np.asarray(matrix, dtype=float)
+    with np.errstate(all="ignore"):
+        return _cholesky(m)
+
+
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """``cholesky`` of a float64 array, inside the caller's errstate."""
     lower = _lapack_cholesky(m)
     if lower is None:
         raise NotPositiveDefinite(_failing_pivot(m))
@@ -87,13 +108,20 @@ def lower_inverse(lower: np.ndarray) -> np.ndarray:
     with partial pivoting never swaps rows of an upper-triangular matrix, so
     the solve is plain back substitution and the upper triangle stays zero.
     Only the lower triangle of the input may be nonzero; nothing checks it.
+    A singular input gives non-finite entries, not an error.
     """
+    with np.errstate(all="ignore"):
+        return _lower_inverse(lower)
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """``lower_inverse``, inside the caller's errstate."""
     n = lower.shape[0]
     if n <= _INVERSE_BLOCK:
-        return np.linalg.inv(lower.T).T
+        return _umath_linalg.inv(lower.T, signature="d->d").T
     k = n // 2
-    a_inv = lower_inverse(lower[:k, :k])
-    d_inv = lower_inverse(lower[k:, k:])
+    a_inv = _lower_inverse(lower[:k, :k])
+    d_inv = _lower_inverse(lower[k:, k:])
     out = np.zeros_like(lower)
     out[:k, :k] = a_inv
     out[k:, k:] = d_inv
@@ -104,17 +132,22 @@ def lower_inverse(lower: np.ndarray) -> np.ndarray:
 def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
 
-    Backed by LAPACK's symmetric eigensolver. Non-finite input, a LAPACK
-    failure and non-finite output each raise NoConvergence.
+    Backed by LAPACK's symmetric eigensolver; only the lower triangle is
+    read. Non-finite input, a LAPACK failure and non-finite output each
+    raise NoConvergence.
     """
     m = np.asarray(matrix, dtype=float)
-    # eigvalsh returns finite values for some non-finite input
+    with np.errstate(all="ignore"):
+        return _sym_eigvals(m)
+
+
+def _sym_eigvals(m: np.ndarray) -> np.ndarray:
+    """``sym_eigvals`` of a float64 array, inside the caller's errstate."""
+    # the eigensolver returns finite values for some non-finite input
     if not np.isfinite(m).all():
         raise NoConvergence("symmetric eigensolver met non-finite values")
-    try:
-        values = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    values = _umath_linalg.eigvalsh_lo(m, signature="d->d")
+    # a LAPACK failure fills the output with NaN
     if not np.isfinite(values).all():
-        raise NoConvergence("symmetric eigensolver met non-finite values")
+        raise NoConvergence("symmetric eigensolver failed or met non-finite values")
     return values

@@ -182,10 +182,21 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
 def _whitened_spectrum(factor1: np.ndarray, factor2: np.ndarray) -> np.ndarray:
     """Eigenvalues of the exactly symmetric Gram matrix X X' of X = L1^{-1} L2,
     Li the lower Cholesky factor of Qi: the spectrum of Q1^{-1} Q2,
-    ascending. No eigenvectors are formed."""
-    values = linalg.sym_eigvals(_gram(linalg.lower_inverse(factor1) @ factor2))
+    ascending. No eigenvectors are formed. Runs inside the caller's
+    np.errstate(all="ignore").
+
+    Both operands are factors, so the spectrum is positive in exact
+    arithmetic. A smallest eigenvalue that rounds to <= 0 means the
+    eigenvalue ratio is beyond what double precision resolves in the Gram
+    form; it raises NotPositiveDefinite with the smallest and largest values.
+    """
+    values = linalg._sym_eigvals(_gram(linalg._lower_inverse(factor1) @ factor2))
     if values[0] <= 0.0:
-        raise NotPositiveDefinite(0, "second shape matrix is not positive definite")
+        raise NotPositiveDefinite(
+            0,
+            f"whitened spectrum is not resolvable in double precision: its smallest eigenvalue "
+            f"rounded to {values[0]:.3e} <= 0 (largest {values[-1]:.3e})",
+        )
     return values
 
 
@@ -200,7 +211,8 @@ def generalized_spectrum(Q1, Q2) -> np.ndarray:
     computed.
     """
     a, b = _check_pair(Q1, Q2)
-    return _whitened_spectrum(linalg.cholesky(a), linalg.cholesky(b))
+    with np.errstate(all="ignore"):
+        return _whitened_spectrum(linalg._cholesky(a), linalg._cholesky(b))
 
 
 def optimality_residual(lam, beta: float) -> float:
@@ -420,6 +432,11 @@ def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
     sum log g with g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of
     Q1^{-1} Q(beta); that sum and the residual are taken in one pass over
     Python floats.
+
+    Runs inside the caller's np.errstate(all="ignore"), entered once per
+    pair step (by ``mvoe_pair``, each fold step of ``mvoe_sum`` and each
+    reach step), so a LAPACK failure or an overflow surfaces only as the
+    typed error its check raises.
     """
     opts = opts or _DEFAULT_OPTIONS
     center1, q1, factor1, half_logdet1 = parts1
@@ -475,7 +492,9 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     opts = opts or _DEFAULT_OPTIONS
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
-    return _result(*_pair_parts(e1._parts, e2._parts, opts), opts)
+    with np.errstate(all="ignore"):
+        step = _pair_parts(e1._parts, e2._parts, opts)
+    return _result(*step, opts)
 
 
 def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult, list[float]]:
@@ -509,6 +528,7 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
     parts = items[0]._parts
     betas: list[float] = []
     for nxt in items[1:]:
-        parts, beta, iterations, residual = _pair_parts(parts, nxt._parts, opts)
+        with np.errstate(all="ignore"):
+            parts, beta, iterations, residual = _pair_parts(parts, nxt._parts, opts)
         betas.append(beta)
     return _result(parts, beta, iterations, residual, opts), betas

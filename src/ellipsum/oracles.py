@@ -13,6 +13,7 @@ the test suite and by the ``check`` CLI command.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -132,15 +133,32 @@ def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
     return beta_star, _log_unit_ball_volume(a.shape[0]) + 0.5 * _logdet_q(a, b, beta_star)
 
 
+def _gaussians(uniform, count: int) -> np.ndarray:
+    """``count`` standard normal draws by the Box-Muller transform: each pair
+    of uniform draws gives the two independent normals r cos(2 pi u2) and
+    r sin(2 pi u2), r = sqrt(-2 log u1), with u1 = 1 - uniform() in (0, 1]
+    so the logarithm is finite."""
+    pairs = (count + 1) // 2
+    u = np.array([uniform() for _ in range(2 * pairs)]).reshape(pairs, 2)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+    angle = 2.0 * math.pi * u[:, 1]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+
+
 def sample_directions(dim: int, n_dirs: int, seed: int) -> np.ndarray:
     """Deterministic unit directions, uniform on the sphere, rows of shape
-    (n_dirs, dim). Gaussian draws normalized to unit length."""
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n_dirs, dim))
+    (n_dirs, dim). Gaussian draws normalized to unit length.
+
+    The draws come from ``random.Random(seed)``, whose stream Python keeps
+    stable across releases (numpy promises no stable streams), and it needs
+    no ``numpy.random`` import.
+    """
+    uniform = random.Random(seed).random
+    u = _gaussians(uniform, n_dirs * dim).reshape(n_dirs, dim)
     norms = np.linalg.norm(u, axis=1)
     while np.any(norms == 0.0):  # essentially impossible, but stay total
         redraw = norms == 0.0
-        u[redraw] = rng.normal(size=(int(np.sum(redraw)), dim))
+        u[redraw] = _gaussians(uniform, int(np.sum(redraw)) * dim).reshape(-1, dim)
         norms = np.linalg.norm(u, axis=1)
     return u / norms[:, None]
 

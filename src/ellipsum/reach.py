@@ -88,7 +88,8 @@ class LtiStage:
         M = -F^{-1} G backward. The image shape is the Gram matrix N N' of
         N = M L_U, L_U the input set's factor, which is exactly symmetric; it
         is lifted and factored once. An eps that is negative or not finite
-        raises ValueError and an overflowed shape EllipsumError."""
+        raises ValueError and an overflowed shape EllipsumError. Runs inside
+        ``_step``'s np.errstate(all="ignore")."""
         key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
@@ -122,8 +123,11 @@ def _step(
 ) -> Ellipsoid:
     if x.dim != stage.n:
         raise DimensionMismatch(f"set has dim {x.dim}, stage expects {stage.n}")
-    mapped = _image_parts(x._parts, stage.inverse() if backward else stage.F)
-    return Ellipsoid._trusted(_pair_parts(mapped, stage._input_image(eps, backward), opts)[0])
+    # one errstate for the step: the image's factorization and the pair step
+    with np.errstate(all="ignore"):
+        mapped = _image_parts(x._parts, stage.inverse() if backward else stage.F)
+        parts = _pair_parts(mapped, stage._input_image(eps, backward), opts)[0]
+    return Ellipsoid._trusted(parts)
 
 
 def step_forward(

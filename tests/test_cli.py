@@ -271,8 +271,7 @@ class TestReach:
         scenario = {"mode": mode, "stages": [stage], "eps": 1e-9}
         scenario["initial" if mode == "forward" else "terminal"] = anchor
         inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": dim, "scenario": scenario})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["reach", inp, str(tmp_path / "r.json")]) == 3
+        assert main(["reach", inp, str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
         assert "(overflow)" in err
         assert "Traceback" not in err
@@ -557,3 +556,35 @@ class TestTimeFlag:
         assert main(["sum", inp, out, "--time"]) == 0
         captured = capsys.readouterr()
         assert "took" in captured.err
+
+
+def overflow_sum_problem():
+    # two valid disks of squared radius 5e307: Q(1) = 2e308 I overflows
+    return {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(shape=5e307 * np.eye(2))] * 2}
+
+
+def overflow_reach_problem():
+    # F = 1e100 I: the mapped shape overflows within four forward stages
+    stage = {"F": (1e100 * np.eye(2)).tolist(), "G": np.eye(2).tolist(), "input": disk_dict()}
+    scenario = {"mode": "forward", "initial": disk_dict(), "stages": [stage] * 4, "eps": 0.0}
+    return {"version": "1", "dimension": 2, "scenario": scenario}
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [("sum", overflow_sum_problem()), ("reach", overflow_reach_problem())],
+    ids=["sum", "reach"],
+)
+def test_overflow_prints_only_the_solver_error(tmp_path, command, problem):
+    # in a fresh process numpy's RuntimeWarnings would print to stderr
+    # ahead of the typed error's one line
+    inp = write_problem(tmp_path / "p.json", problem)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "ellipsum.cli", command, inp, str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert run.returncode == 3
+    assert run.stderr == "ellipsum: solver error: shape matrix has non-finite entries (overflow)\n"

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import spd_matrix
-from ellipsum import NoConvergence, NotPositiveDefinite
+from conftest import random_ellipsoid, spd_matrix
+from ellipsum import EllipsumError, Ellipsoid, NoConvergence, NotPositiveDefinite, mvoe_pair, mvoe_sum
+from ellipsum import linalg
 from ellipsum.linalg import cholesky, lower_inverse, sym_eigvals, symmetrize
 
 
@@ -195,3 +196,141 @@ class TestDeterminant:
             det = det_from_factor(m)
             prod = float(np.prod(np.linalg.eigh(m)[0]))
             assert abs(det - prod) / abs(prod) < 1e-10
+
+
+def blocked_inverse_reference(lower: np.ndarray) -> np.ndarray:
+    """``lower_inverse``'s block recursion on ``np.linalg.inv``, the wrapper
+    over the LAPACK routine the kernel calls directly."""
+    n = lower.shape[0]
+    if n <= linalg._INVERSE_BLOCK:
+        return np.linalg.inv(lower.T).T
+    k = n // 2
+    a_inv = blocked_inverse_reference(lower[:k, :k])
+    d_inv = blocked_inverse_reference(lower[k:, k:])
+    out = np.zeros_like(lower)
+    out[:k, :k] = a_inv
+    out[k:, k:] = d_inv
+    out[k:, :k] = -(d_inv @ (lower[k:, :k] @ a_inv))
+    return out
+
+
+def reference_pivot(m: np.ndarray) -> int:
+    """First k whose leading (k+1)x(k+1) block ``np.linalg.cholesky`` cannot
+    factor, searched linearly."""
+    for k in range(m.shape[0]):
+        try:
+            lower = np.linalg.cholesky(m[: k + 1, : k + 1])
+        except np.linalg.LinAlgError:
+            return k
+        if not np.isfinite(lower).all():
+            return k
+    raise AssertionError("matrix factors")
+
+
+#: (name, call) for failures that public entry points turn into typed errors
+FAILURES = [
+    ("cholesky-indefinite", lambda: cholesky(np.diag([1.0, 1.0, -1.0]))),
+    ("cholesky-nan", lambda: cholesky(np.array([[1.0, 0.0], [np.nan, 1.0]]))),
+    ("sym_eigvals-nan", lambda: sym_eigvals(np.array([[np.nan, 0.0], [0.0, 1.0]]))),
+    ("sym_eigvals-overflow", lambda: sym_eigvals(np.full((2, 2), 1.7e308))),
+    ("ellipsoid-indefinite", lambda: Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]))),
+    ("pair-overflow", lambda: mvoe_pair(*[Ellipsoid(np.zeros(2), 5e307 * np.eye(2))] * 2)),
+]
+
+
+class TestGufuncKernels:
+    """The kernels call numpy's LAPACK gufuncs (private numpy API) without
+    the ``np.linalg`` wrappers: same routines on the same arrays, so the
+    same bits, and the wrappers' error handling is rebuilt on one errstate."""
+
+    DIMS = [1, 2, 6, 33, 200]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_cholesky_is_bitwise_numpy(self, dim):
+        m = spd_matrix(np.random.default_rng(500 + dim), dim)
+        assert np.array_equal(cholesky(m), np.linalg.cholesky(m))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(linalg._cholesky(m), np.linalg.cholesky(m))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sym_eigvals_is_bitwise_numpy(self, dim):
+        m = spd_matrix(np.random.default_rng(510 + dim), dim)
+        assert np.array_equal(sym_eigvals(m), np.linalg.eigvalsh(m))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(linalg._sym_eigvals(m), np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_lower_inverse_is_bitwise_numpy(self, dim):
+        lower = np.linalg.cholesky(spd_matrix(np.random.default_rng(520 + dim), dim))
+        expected = blocked_inverse_reference(lower)
+        assert np.array_equal(lower_inverse(lower), expected)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(linalg._lower_inverse(lower), expected)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 33])
+    def test_pivot_matches_numpy(self, dim):
+        rng = np.random.default_rng(530 + dim)
+        for _ in range(10):
+            m = spd_matrix(rng, dim)
+            k = int(rng.integers(0, dim))
+            m[k, k] = -abs(m[k, k])  # no factor for the leading (k+1) block
+            with pytest.raises(NotPositiveDefinite) as info:
+                cholesky(m)
+            assert info.value.pivot == reference_pivot(m)
+
+    def test_nonfinite_output_of_sym_eigvals_raises(self):
+        # finite input whose largest eigenvalue, 3.4e308, overflows
+        with pytest.raises(NoConvergence, match="failed or met non-finite values"):
+            sym_eigvals(np.full((2, 2), 1.7e308))
+
+    def test_singular_lower_inverse_is_nonfinite_without_warning(self):
+        # pytest turns RuntimeWarning into an error, so a leak fails here
+        for dim in (2, 40):
+            lower = np.tril(np.ones((dim, dim)))
+            lower[dim - 1, dim - 1] = 0.0
+            assert not np.isfinite(lower_inverse(lower)).all()
+
+    @pytest.mark.parametrize("name, call", FAILURES, ids=[name for name, _ in FAILURES])
+    def test_failures_raise_typed_errors_under_raise(self, name, call):
+        with np.errstate(all="raise"):
+            with pytest.raises(EllipsumError):
+                call()
+
+    @pytest.mark.parametrize("name, call", FAILURES, ids=[name for name, _ in FAILURES])
+    def test_errstate_is_restored_after_raise(self, name, call):
+        with np.errstate(over="raise", invalid="warn", divide="print", under="ignore"):
+            before = np.geterr()
+            with pytest.raises(EllipsumError):
+                call()
+            assert np.geterr() == before
+
+    def test_errstate_is_restored_after_success(self):
+        m = spd_matrix(np.random.default_rng(540), 4)
+        with np.errstate(over="raise", invalid="warn", divide="print", under="ignore"):
+            before = np.geterr()
+            cholesky(m)
+            lower_inverse(np.linalg.cholesky(m))
+            sym_eigvals(m)
+            Ellipsoid(np.zeros(4), m)
+            mvoe_sum([Ellipsoid(np.zeros(4), m)] * 3)
+            assert np.geterr() == before
+
+    def test_fold_enters_one_errstate_per_step_and_no_wrapper(self, monkeypatch):
+        rng = np.random.default_rng(550)
+        parts = [random_ellipsoid(rng, 2) for _ in range(8)]
+        entered = []
+        real_errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return real_errstate(**kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg wrapper called")
+
+        monkeypatch.setattr(np, "errstate", counting)
+        for name in ("cholesky", "inv", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        result, betas = mvoe_sum(parts)
+        assert len(betas) == len(parts) - 1
+        assert entered == [{"all": "ignore"}] * (len(parts) - 1)

@@ -587,18 +587,40 @@ class TestMvoePair:
     def test_overflowing_output_is_reported_as_overflow(self):
         # the inputs factor, but Q(1) = 2e308 I does not fit a double
         e = Ellipsoid(np.zeros(2), 5e307 * np.eye(2))
-        with np.errstate(over="ignore"), pytest.raises(EllipsumError, match="overflow") as info:
+        with pytest.raises(EllipsumError, match="overflow") as info:
             mvoe_pair(e, e)
         assert not isinstance(info.value, NotPositiveDefinite)
+
+    def test_unresolvable_spectrum_names_its_cause(self):
+        # draw 8 of a scale sweep: d = 8, cond(Q1) = 1.3e11, cond(Q2) = 2.0e9,
+        # and a spectrum of Q1^{-1} Q2 from 9.5e11 to 2.1e29 (scipy); the
+        # Gram form's smallest eigenvalue rounds below zero
+        rng = np.random.default_rng(10)
+        for _ in range(9):
+            d = int(rng.integers(2, 9))
+            shapes = []
+            for _ in range(2):
+                q, r = np.linalg.qr(rng.normal(size=(d, d)))
+                frame = q * np.sign(np.diag(r))
+                scale = 10.0 ** rng.uniform(-12.0, 12.0)
+                shapes.append(scale * (frame * 10.0 ** rng.uniform(-6.0, 6.0, d)) @ frame.T)
+        e1, e2 = (Ellipsoid(np.zeros(d), q) for q in shapes)
+        with pytest.raises(NotPositiveDefinite, match="whitened spectrum") as info:
+            mvoe_pair(e1, e2)
+        message = str(info.value)
+        assert "smallest eigenvalue rounded to" in message and "<= 0" in message
+        smallest = float(message.split("rounded to ")[1].split(" ")[0])
+        largest = float(message.split("(largest ")[1].rstrip(")"))
+        assert smallest <= 0.0
+        assert 1e29 < largest < 1e30
 
     def test_overflowing_center_is_rejected(self):
         # both inputs are valid, but q1 + q2 = 2e308 does not fit a double
         e = Ellipsoid([1e308, 0.0], np.eye(2))
-        with np.errstate(over="ignore"):
-            with pytest.raises(EllipsumError, match="center has non-finite entries"):
-                mvoe_pair(e, e)
-            with pytest.raises(EllipsumError, match="center has non-finite entries"):
-                mvoe_sum([e, e])
+        with pytest.raises(EllipsumError, match="center has non-finite entries"):
+            mvoe_pair(e, e)
+        with pytest.raises(EllipsumError, match="center has non-finite entries"):
+            mvoe_sum([e, e])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -735,12 +757,14 @@ class TestTrustedOutputs:
         rng = np.random.default_rng(1220)
         parts = [random_ellipsoid(rng, 3) for _ in range(4)]
         calls = []
-        for name in ("cholesky", "symmetrize"):
+        # the pair step factors through the private kernel, inside its own
+        # errstate; the public wrapper must not be reached either
+        for name in ("cholesky", "_cholesky", "symmetrize"):
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda m, real=real, name=name: calls.append(name) or real(m))
         mvoe_sum(parts)
         # one Cholesky per pair step, on Q(beta); nothing is symmetrized
-        assert calls == ["cholesky"] * (len(parts) - 1)
+        assert calls == ["_cholesky"] * (len(parts) - 1)
 
     def test_trusted_constructor_is_not_exported(self):
         assert "_trusted" not in ellipsum.__all__

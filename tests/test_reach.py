@@ -259,33 +259,29 @@ class TestSingularImage:
 
     def test_overflowing_tube_is_not_reported_singular(self):
         stage = LtiStage(F=1e100 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(EllipsumError, match="non-finite") as info:
-                propagate_forward(Ellipsoid(np.zeros(2), np.eye(2)), [stage] * 5)
+        with pytest.raises(EllipsumError, match="non-finite") as info:
+            propagate_forward(Ellipsoid(np.zeros(2), np.eye(2)), [stage] * 5)
         assert not isinstance(info.value, SingularMap)
 
     def test_overflowing_center_is_rejected(self):
         # the center passes 1e308 at step 11 while the shape is near 1e220
         stage = LtiStage(F=1e10 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(EllipsumError, match="center has non-finite entries") as info:
-                propagate_forward(Ellipsoid([1e200, 0.0], np.eye(2)), [stage] * 12)
+        with pytest.raises(EllipsumError, match="center has non-finite entries") as info:
+            propagate_forward(Ellipsoid([1e200, 0.0], np.eye(2)), [stage] * 12)
         assert not isinstance(info.value, SingularMap)
 
     def test_overflowing_forward_step_center_is_rejected(self):
         # F x0 stays finite; adding the input's center overflows
         x0 = Ellipsoid([1e308, 0.0], np.eye(2))
         stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=x0)
-        with np.errstate(over="ignore"):
-            with pytest.raises(EllipsumError, match="center has non-finite entries"):
-                step_forward(x0, stage, eps=0.0)
+        with pytest.raises(EllipsumError, match="center has non-finite entries"):
+            step_forward(x0, stage, eps=0.0)
 
     def test_overflowing_backward_step_center_is_rejected(self):
         # F^{-1} x1 = 2e308 overflows in the map itself
         stage = LtiStage(F=0.5 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
-        with np.errstate(over="ignore"):
-            with pytest.raises(EllipsumError, match="center has non-finite entries"):
-                step_backward(Ellipsoid([1e308, 0.0], np.eye(2)), stage, eps=0.0)
+        with pytest.raises(EllipsumError, match="center has non-finite entries"):
+            step_backward(Ellipsoid([1e308, 0.0], np.eye(2)), stage, eps=0.0)
 
 
 def disk() -> Ellipsoid:
@@ -307,9 +303,8 @@ class TestInputImages:
         ids=["forward-shape", "forward-center", "backward-shape"],
     )
     def test_overflowing_image_raises_typed_error(self, propagate, start, stage):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(EllipsumError, match=r"non-finite entries \(overflow\)") as info:
-                propagate(start, [stage], eps=1e-9)
+        with pytest.raises(EllipsumError, match=r"non-finite entries \(overflow\)") as info:
+            propagate(start, [stage], eps=1e-9)
         assert not isinstance(info.value, SingularMap)
 
     @pytest.mark.parametrize("propagate", [propagate_forward, propagate_backward])

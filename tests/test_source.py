@@ -1,6 +1,7 @@
 """Checks on the package source and its import graph."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,48 @@ def test_cli_imports_numpy_only():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _names(tree):
+    """Every identifier an AST mentions: names, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+
+
+def test_only_linalg_uses_private_numpy_gufuncs():
+    # numpy.linalg._umath_linalg is private numpy API; keeping it in one
+    # module keeps one place to mend if numpy renames it
+    users = sorted(
+        path.name for path in SOURCE.glob("*.py") if "_umath_linalg" in set(_names(ast.parse(path.read_text())))
+    )
+    assert users == ["linalg.py"]
+
+
+def test_check_does_not_import_numpy_random(tmp_path):
+    # direction sampling runs on the standard library's random module, so
+    # `check` pays no numpy.random import
+    problem = {
+        "version": "1",
+        "dimension": 2,
+        "ellipsoids": [
+            {"center": [0.0, 0.0], "shape": [[1.0, 0.0], [0.0, 1.0]]},
+            {"center": [1.0, 0.0], "shape": [[2.0, 0.5], [0.5, 1.0]]},
+            {"center": [0.0, 1.0], "shape": [[3.0, 0.0], [0.0, 0.5]]},
+        ],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    probe = (
+        "import sys; from ellipsum.cli import main; code = main(['check', sys.argv[1]]); "
+        "sys.stderr.write(repr((code, 'numpy.random' in sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env, check=True)
+    assert out.stderr == "(0, False)"
