@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Digest of the solver's outputs, to show that a change leaves them bit-identical.
+
+Runs every pair step of the benchmark's fold problem sets (fold_small,
+pair_large and cli_check) and its forward and backward reach tubes for the
+given seeds, then a seeded suite of random folds in d = 1..12 under every
+method, each with an affine image. It prints one SHA-256 over the bytes of
+every output's center, shape and factor and every step's beta, iteration
+count and residual. Log-volumes stay out of the digest; ``--log-volumes``
+saves them to an .npy file for a separate comparison. Run it at two commits
+and compare the lines:
+
+    PYTHONPATH=src python scripts/output_digest.py --seeds 0 1 2
+"""
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+from ellipsum import Ellipsoid, LtiStage, SolverOptions, affine_image, mvoe_pair, mvoe_sum  # noqa: E402
+from ellipsum import propagate_backward, propagate_forward  # noqa: E402
+
+
+class Digest:
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.log_volumes = []
+
+    def ellipsoid(self, e):
+        for array in (e.center, e.shape, e.factor):
+            self.hash.update(np.ascontiguousarray(array).tobytes())
+        self.log_volumes.append(e.log_volume())
+
+    def numbers(self, *values):
+        self.hash.update(np.array(values, dtype=float).tobytes())
+
+    def fold(self, ellipsoids, opts=None):
+        acc = ellipsoids[0]
+        for nxt in ellipsoids[1:]:
+            result = mvoe_pair(acc, nxt, opts)
+            self.ellipsoid(result.ellipsoid)
+            self.numbers(result.beta, result.iterations, result.residual)
+            acc = result.ellipsoid
+        result, betas = mvoe_sum(ellipsoids, opts)
+        self.ellipsoid(result.ellipsoid)
+        self.numbers(*betas, result.iterations, result.residual)
+
+    def tube(self, raw, steps, eps, propagate):
+        stage = LtiStage(raw["F"], raw["G"], Ellipsoid(raw["u_c"], raw["u_q"]))
+        for e in propagate(Ellipsoid(raw["c0"], raw["q0"]), [stage] * steps, eps):
+            self.ellipsoid(e)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="benchmark problem-set seeds")
+    parser.add_argument("--folds", type=int, default=400, help="random folds in the seeded suite")
+    parser.add_argument("--log-volumes", help="save every output's log-volume to this .npy file")
+    args = parser.parse_args()
+
+    digest = Digest()
+    reach = workloads.ReachTube()
+    for seed in args.seeds:
+        for workload in (workloads.FoldSmall(), workloads.PairLarge(), workloads.CliCheck(None)):
+            for centers, shapes in workload.generate(seed):
+                digest.fold([Ellipsoid(c, q) for c, q in zip(centers, shapes)])
+        for fwd, bwd in reach.generate(seed):
+            digest.tube(fwd, reach.steps, reach.eps_forward, propagate_forward)
+            digest.tube(bwd, reach.steps, reach.eps_backward, propagate_backward)
+    rng = np.random.default_rng(2024)
+    for k in range(args.folds):
+        d = 1 + k % 12
+        ellipsoids = [Ellipsoid(rng.normal(size=d), workloads._spd(rng, d, -3.0, 3.0)) for _ in range(2 + k % 3)]
+        for method in ("auto", "fixed_point", "trace") + (("bisection",) if d == 2 else ()):
+            digest.fold(ellipsoids, SolverOptions(method=method))
+        digest.ellipsoid(affine_image(ellipsoids[0], rng.normal(size=(d, d))))
+    print(f"outputs {digest.hash.hexdigest()} ellipsoids {len(digest.log_volumes)}")
+    if args.log_volumes:
+        np.save(args.log_volumes, np.array(digest.log_volumes))
+
+
+if __name__ == "__main__":
+    main()

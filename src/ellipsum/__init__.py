@@ -26,7 +26,6 @@ from .mvoe import (
     SolverOptions,
     beta_trace_optimal,
     bracket_beta_2d,
-    fixed_point_map,
     generalized_spectrum,
     logdet_curvature,
     mvoe_pair,
@@ -74,7 +73,6 @@ __all__ = [
     "bracket_beta_2d",
     "consistency_checks",
     "containment_check",
-    "fixed_point_map",
     "generalized_spectrum",
     "golden_section_beta",
     "logdet_curvature",

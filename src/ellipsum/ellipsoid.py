@@ -2,7 +2,7 @@
 
 An ellipsoid is the set {x : (x - q)' Q^{-1} (x - q) <= 1} with center q and
 symmetric positive definite shape matrix Q. Volume, support function,
-membership, affine images and boundary sampling for plots live here.
+affine images and boundary sampling for plots live here.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, EllipsumError, NotPositiveDefinite, SingularMap, UnsupportedDimension
-
-#: absolute slack on the quadratic-form residual for membership tests,
-#: forgiving of roundoff on exact boundary points
-MEMBERSHIP_TOL = 1e-12
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -53,9 +49,10 @@ class Ellipsoid:
     The center must be finite. The shape matrix is symmetrized on
     construction (rejecting genuinely asymmetric input) and checked for
     positive definiteness via Cholesky. Every instance keeps ``_parts``, the
-    tuple (center, shape, lower Cholesky factor, 1/2 log det shape). Computed
-    ellipsoids travel as such tuples and become instances only through
-    ``_trusted``. Instances are immutable; the stored arrays are read-only.
+    tuple (center, shape, lower Cholesky factor); the log-volume is read
+    from that factor. Computed ellipsoids travel as such tuples and become
+    instances only through ``_trusted``. Instances are immutable; the stored
+    arrays are read-only.
     """
 
     center: np.ndarray
@@ -72,13 +69,14 @@ class Ellipsoid:
                     f"center has dim {center.shape[0]}, shape matrix is {shape.shape[0]}x{shape.shape[0]}"
                 )
             chol = linalg._cholesky(shape)  # raises NotPositiveDefinite for invalid shapes
-        self._store((center, shape, chol, _half_logdet(chol)))
+        self._store((center, shape, chol))
 
     @classmethod
     def _trusted(cls, parts) -> Ellipsoid:
-        """The ellipsoid of computed ``parts``, whose shape is SPD by
-        construction and factored by ``_factored``. Only the center is
-        checked: an overflow in forming it raises EllipsumError."""
+        """The ellipsoid of computed ``parts`` (center, shape, factor),
+        whose shape is SPD by construction and factored by ``_factored``.
+        Only the center is checked: an overflow in forming it raises
+        EllipsumError."""
         if not np.isfinite(parts[0]).all():
             raise EllipsumError("center has non-finite entries (overflow)")
         out = object.__new__(cls)
@@ -86,7 +84,7 @@ class Ellipsoid:
         return out
 
     def _store(self, parts):
-        center, shape, factor, _ = parts
+        center, shape, factor = parts
         object.__setattr__(self, "center", _freeze(center))
         object.__setattr__(self, "shape", _freeze(shape))
         _freeze(factor)
@@ -102,8 +100,9 @@ class Ellipsoid:
         return self._parts[2]
 
     def log_volume(self) -> float:
-        """log of pi^(d/2) / Gamma(d/2 + 1) * sqrt(det Q); finite at any d."""
-        return _log_unit_ball_volume(self.dim) + self._parts[3]
+        """log of pi^(d/2) / Gamma(d/2 + 1) * sqrt(det Q), with 1/2 log det Q
+        read from the stored factor; finite at any d."""
+        return _log_unit_ball_volume(self.dim) + _half_logdet(self.factor)
 
     def volume(self) -> float:
         """exp(log_volume()), or inf where that overflows."""
@@ -120,14 +119,6 @@ class Ellipsoid:
         """
         u = np.asarray(direction, dtype=float).reshape(-1)
         return float(u @ self.center + math.sqrt(max(u @ self.shape @ u, 0.0)))
-
-    def contains_point(self, point) -> bool:
-        """Membership test with absolute slack MEMBERSHIP_TOL on the residual."""
-        x = np.asarray(point, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"point has dim {x.shape[0]}, ellipsoid has dim {self.dim}")
-        z = np.linalg.solve(self.factor, x - self.center)
-        return float(z @ z) <= 1.0 + MEMBERSHIP_TOL
 
     def boundary_points(self, samples: int) -> np.ndarray:
         """Points on the boundary, as rows of an array.
@@ -211,13 +202,13 @@ def _image_parts(parts, matrix: np.ndarray):
     center is left for ``Ellipsoid._trusted`` to catch. Runs inside the
     caller's np.errstate(all="ignore").
     """
-    center, _, factor, _ = parts
+    center, _, factor = parts
     shape = _gram(matrix @ factor)
     try:
         lower = _factored(shape)
     except NotPositiveDefinite as exc:
         raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
-    return matrix @ center, shape, lower, _half_logdet(lower)
+    return matrix @ center, shape, lower
 
 
 def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:

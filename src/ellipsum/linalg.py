@@ -37,7 +37,8 @@ def symmetrize(matrix) -> np.ndarray:
 
     Asymmetry up to SYMMETRY_RTOL (relative to the largest entry) is treated as
     I/O roundoff and averaged away; anything larger is rejected as genuinely
-    wrong input.
+    wrong input. The average halves before it adds, so it cannot overflow
+    where the entries themselves are finite, and it is exactly symmetric.
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -50,7 +51,7 @@ def symmetrize(matrix) -> np.ndarray:
     gap = np.max(np.abs(m - m.T))
     if gap > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric (asymmetry {gap:.3e}, scale {scale:.3e})")
-    return 0.5 * (m + m.T)
+    return 0.5 * m + 0.5 * m.T
 
 
 def _lapack_cholesky(m: np.ndarray) -> np.ndarray | None:

@@ -371,7 +371,7 @@ def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     raise MaxIterationsExceeded(last_beta=math.exp(t), iterations=opts.max_iterations)
 
 
-def fixed_point_map(lam, beta: float) -> float:
+def _fixed_point_map(values: np.ndarray, beta: float) -> float:
     """One application of the root-finding map
 
     g(beta) = sqrt( sum_i 1/(1 + beta l_i) / sum_i l_i/(1 + beta l_i) ).
@@ -379,10 +379,6 @@ def fixed_point_map(lam, beta: float) -> float:
     Rearranges the optimality equation so its root is the unique fixed
     point; g maps the positive axis into itself.
     """
-    return _fixed_point_map(_spectrum(lam), _positive_beta(beta))
-
-
-def _fixed_point_map(values: np.ndarray, beta: float) -> float:
     denom = 1.0 + beta * values
     return math.sqrt(float(np.sum(1.0 / denom)) / float(np.sum(values / denom)))
 
@@ -422,16 +418,14 @@ def _resolve_method(method: str) -> str:
 
 def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
     """The pair step on two operands given as parts (center, SPD shape, its
-    lower Cholesky factor, 1/2 log det shape): returns the outer ellipsoid's
-    parts, beta, the iteration count and |optimality residual|.
+    lower Cholesky factor): returns the outer ellipsoid's parts, beta, the
+    iteration count and |optimality residual|.
 
-    Nothing is validated here, and the log-det of ``parts2`` is not read.
-    Only the spectrum l of Q1^{-1} Q2 is computed, as the eigenvalues of the
-    Gram matrix of L1^{-1} L2, never its eigenvectors. The output factor is
-    the Cholesky factor of Q(beta), and log det Q(beta) = log det Q1 +
-    sum log g with g = (1 + 1/beta) + (1 + beta) l, the eigenvalues of
-    Q1^{-1} Q(beta); that sum and the residual are taken in one pass over
-    Python floats.
+    Nothing is validated here. Only the spectrum l of Q1^{-1} Q2 is
+    computed, as the eigenvalues of the Gram matrix of L1^{-1} L2, never its
+    eigenvectors. The output factor is the Cholesky factor of Q(beta); no
+    log-det is taken here, as ``Ellipsoid.log_volume`` reads it from that
+    factor. The residual is summed over Python floats.
 
     Runs inside the caller's np.errstate(all="ignore"), entered once per
     pair step (by ``mvoe_pair``, each fold step of ``mvoe_sum`` and each
@@ -439,8 +433,8 @@ def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
     typed error its check raises.
     """
     opts = opts or _DEFAULT_OPTIONS
-    center1, q1, factor1, half_logdet1 = parts1
-    center2, q2, factor2, _ = parts2
+    center1, q1, factor1 = parts1
+    center2, q2, factor2 = parts2
     lam = _whitened_spectrum(factor1, factor2)
     values = lam.tolist()
     method = _resolve_method(opts.method)
@@ -454,16 +448,13 @@ def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
         beta, iterations = beta_trace_optimal(q1, q2), 0
     else:
         raise ValueError(f"unknown method {method!r}")
-    w1, w2 = 1.0 + 1.0 / beta, 1.0 + beta
-    shape = w1 * q1 + w2 * q2  # q_of_beta, unchecked
+    shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
     factor = _factored(shape)
-    residual = log_g = 0.0
+    residual = 0.0
     for value in values:
         scaled = beta * value
         residual += (1.0 - beta * scaled) / (1.0 + scaled)
-        log_g += math.log(w1 + w2 * value)
-    parts = (center1 + center2, shape, factor, half_logdet1 + 0.5 * log_g)
-    return parts, beta, iterations, abs(residual)
+    return (center1 + center2, shape, factor), beta, iterations, abs(residual)
 
 
 def _result(parts, beta: float, iterations: int, residual: float, opts: SolverOptions) -> MvoeResult:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _half_logdet, _image_parts, _lift
+from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _image_parts, _lift
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import SolverOptions, _pair_parts
 
@@ -93,10 +93,9 @@ class LtiStage:
         key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
-            center, _, lower, _ = self.input_set._parts
+            center, _, lower = self.input_set._parts
             shape = _lift(_gram(mapping @ lower), eps)
-            factor = _factored(shape)
-            self._derived[key] = (mapping @ center, shape, factor, _half_logdet(factor))
+            self._derived[key] = (mapping @ center, shape, _factored(shape))
         return self._derived[key]
 
 

@@ -563,6 +563,11 @@ def overflow_sum_problem():
     return {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(shape=5e307 * np.eye(2))] * 2}
 
 
+def huge_disks_problem():
+    # 1e308 I is a valid shape, near the top of the float range
+    return {"version": "1", "dimension": 2, "ellipsoids": [disk_dict(shape=1e308 * np.eye(2))] * 2}
+
+
 def overflow_reach_problem():
     # F = 1e100 I: the mapped shape overflows within four forward stages
     stage = {"F": (1e100 * np.eye(2)).tolist(), "G": np.eye(2).tolist(), "input": disk_dict()}
@@ -572,8 +577,8 @@ def overflow_reach_problem():
 
 @pytest.mark.parametrize(
     "command, problem",
-    [("sum", overflow_sum_problem()), ("reach", overflow_reach_problem())],
-    ids=["sum", "reach"],
+    [("sum", overflow_sum_problem()), ("sum", huge_disks_problem()), ("reach", overflow_reach_problem())],
+    ids=["sum", "sum_of_huge_disks", "reach"],
 )
 def test_overflow_prints_only_the_solver_error(tmp_path, command, problem):
     # in a fresh process numpy's RuntimeWarnings would print to stderr

@@ -20,6 +20,18 @@ class TestSymmetrize:
         with pytest.raises(ValueError, match="not symmetric"):
             symmetrize(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_huge_entries_do_not_overflow(self):
+        # halving before adding keeps 1e308 finite, where m + m' overflows
+        huge = 1e308 * np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+        out = symmetrize(huge)
+        assert np.isfinite(out).all() and np.array_equal(out, out.T)
+        assert abs(out[1, 0] / 1e308 - (0.5 + 5e-13)) < 1e-15
+
+    def test_symmetric_input_keeps_its_bits(self):
+        m = spd_matrix(np.random.default_rng(30), 5)
+        for scale in (1e-300, 1.0, 1e300):
+            assert np.array_equal(symmetrize(scale * m), scale * m)
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             symmetrize(np.ones((2, 3)))

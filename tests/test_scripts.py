@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["run_random_suite.py", "--dims", "2", "3", "--instances", "3"],
         ["demo_pair.py", "--out-dir", "{tmp}", "--samples", "8"],
+        ["output_digest.py", "--seeds", "0", "--folds", "12"],
     ],
-    ids=["run_random_suite", "demo_pair"],
+    ids=["run_random_suite", "demo_pair", "output_digest"],
 )
 def test_script_exits_0(argv, tmp_path):
     env = dict(os.environ)

@@ -42,13 +42,21 @@ def _names(tree):
             yield from node.module.split(".")
 
 
+def _modules_naming(name):
+    return sorted(path.name for path in SOURCE.glob("*.py") if name in set(_names(ast.parse(path.read_text()))))
+
+
 def test_only_linalg_uses_private_numpy_gufuncs():
     # numpy.linalg._umath_linalg is private numpy API; keeping it in one
     # module keeps one place to mend if numpy renames it
-    users = sorted(
-        path.name for path in SOURCE.glob("*.py") if "_umath_linalg" in set(_names(ast.parse(path.read_text())))
-    )
-    assert users == ["linalg.py"]
+    assert _modules_naming("_umath_linalg") == ["linalg.py"]
+
+
+def test_only_ellipsoid_takes_log_dets():
+    # Ellipsoid.log_volume reads 1/2 log det from the stored factor; a
+    # second producer, such as a sum over the spectrum, drifts from the
+    # shape it stands for
+    assert _modules_naming("_half_logdet") == ["ellipsoid.py"]
 
 
 def test_check_does_not_import_numpy_random(tmp_path):
