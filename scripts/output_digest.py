@@ -6,9 +6,12 @@ pair_large and cli_check) and its forward and backward reach tubes for the
 given seeds, then a seeded suite of random folds in d = 1..12 under every
 method, each with an affine image. It prints one SHA-256 over the bytes of
 every output's center, shape and factor and every step's beta, iteration
-count and residual. Log-volumes stay out of the digest; ``--log-volumes``
-saves them to an .npy file for a separate comparison. Run it at two commits
-and compare the lines:
+count and residual, then one line per section (fold_small, pair_large,
+cli_check, reach_tube and the random suite) with the SHA-256 of that
+section's share of the same bytes, so a change that moves some outputs
+shows which sections stayed bit-identical. Log-volumes stay out of the
+digest; ``--log-volumes`` saves them to an .npy file for a separate
+comparison. Run it at two commits and compare the lines:
 
     PYTHONPATH=src python scripts/output_digest.py --seeds 0 1 2
 """
@@ -31,14 +34,27 @@ class Digest:
     def __init__(self):
         self.hash = hashlib.sha256()
         self.log_volumes = []
+        #: section name -> (its hash, its ellipsoid count), in first-use order
+        self.sections = {}
+        self.section = None
+
+    def _update(self, data):
+        self.hash.update(data)
+        self.sections[self.section][0].update(data)
+
+    def enter(self, name):
+        """Send what follows to section ``name`` as well as to the overall hash."""
+        self.sections.setdefault(name, [hashlib.sha256(), 0])
+        self.section = name
 
     def ellipsoid(self, e):
         for array in (e.center, e.shape, e.factor):
-            self.hash.update(np.ascontiguousarray(array).tobytes())
+            self._update(np.ascontiguousarray(array).tobytes())
         self.log_volumes.append(e.log_volume())
+        self.sections[self.section][1] += 1
 
     def numbers(self, *values):
-        self.hash.update(np.array(values, dtype=float).tobytes())
+        self._update(np.array(values, dtype=float).tobytes())
 
     def fold(self, ellipsoids, opts=None):
         acc = ellipsoids[0]
@@ -68,11 +84,14 @@ def main():
     reach = workloads.ReachTube()
     for seed in args.seeds:
         for workload in (workloads.FoldSmall(), workloads.PairLarge(), workloads.CliCheck(None)):
+            digest.enter(workload.name)
             for centers, shapes in workload.generate(seed):
                 digest.fold([Ellipsoid(c, q) for c, q in zip(centers, shapes)])
+        digest.enter(reach.name)
         for fwd, bwd in reach.generate(seed):
             digest.tube(fwd, reach.steps, reach.eps_forward, propagate_forward)
             digest.tube(bwd, reach.steps, reach.eps_backward, propagate_backward)
+    digest.enter("random_suite")
     rng = np.random.default_rng(2024)
     for k in range(args.folds):
         d = 1 + k % 12
@@ -81,6 +100,8 @@ def main():
             digest.fold(ellipsoids, SolverOptions(method=method))
         digest.ellipsoid(affine_image(ellipsoids[0], rng.normal(size=(d, d))))
     print(f"outputs {digest.hash.hexdigest()} ellipsoids {len(digest.log_volumes)}")
+    for name, (section, count) in digest.sections.items():
+        print(f"  {name} {section.hexdigest()} ellipsoids {count}")
     if args.log_volumes:
         np.save(args.log_volumes, np.array(digest.log_volumes))
 

@@ -37,7 +37,6 @@ from .mvoe import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
-    solve_beta_newton,
 )
 from .oracles import (
     CheckReport,
@@ -87,7 +86,6 @@ __all__ = [
     "q_of_direction",
     "solve_beta_bisection",
     "solve_beta_fixed_point",
-    "solve_beta_newton",
     "stationarity_check",
     "step_backward",
     "step_forward",

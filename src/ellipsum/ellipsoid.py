@@ -1,8 +1,9 @@
 """Ellipsoid value type and geometric queries.
 
 An ellipsoid is the set {x : (x - q)' Q^{-1} (x - q) <= 1} with center q and
-symmetric positive definite shape matrix Q. Volume, support function,
-affine images and boundary sampling for plots live here.
+symmetric positive definite shape matrix Q. Volume, affine images and
+boundary sampling for plots live here; support functions, which only the
+oracles sample, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -110,15 +111,6 @@ class Ellipsoid:
             return math.exp(self.log_volume())
         except OverflowError:
             return math.inf
-
-    def support(self, direction) -> float:
-        """Support function value u'q + sqrt(u'Qu).
-
-        Positively homogeneous in ``direction``; pass a unit vector to get
-        the distance of the supporting hyperplane from the origin.
-        """
-        u = np.asarray(direction, dtype=float).reshape(-1)
-        return float(u @ self.center + math.sqrt(max(u @ self.shape @ u, 0.0)))
 
     def boundary_points(self, samples: int) -> np.ndarray:
         """Points on the boundary, as rows of an array.

@@ -1,5 +1,5 @@
-"""LAPACK kernels for symmetric matrices, and the inverse of a
-lower-triangular factor.
+"""Input symmetrization and the package's LAPACK kernels: a Cholesky
+factor, a blocked lower-triangular solve and symmetric eigenvalues.
 
 The kernels call the gufuncs that ``np.linalg`` itself wraps, from
 ``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv`` and
@@ -8,12 +8,12 @@ wrapping, type resolution and per-call ``np.errstate``, which at d = 2 cost
 several times the LAPACK call. A gufunc that fails fills its output with NaN
 and raises the floating-point invalid flag. The kernels check their output
 and turn that NaN into the package's typed errors. The flag is silenced by
-one ``np.errstate(all="ignore")`` per unit of work: each public function
-here holds it around its private kernel (``_cholesky``, ``_lower_inverse``,
-``_sym_eigvals``), and the pair step, the reach step, ``affine_image`` and
-``Ellipsoid`` construction call the kernels inside their own single
-errstate. So no call leaks a ``RuntimeWarning``, and the caller's
-``np.geterr()`` is restored on return and on raise.
+one ``np.errstate(all="ignore")`` per unit of work, held by the caller: the
+pair step, the reach step, ``affine_image`` and ``Ellipsoid`` construction
+each call the kernels inside their own single errstate. So no call leaks a
+``RuntimeWarning``, and the caller's ``np.geterr()`` is restored on return
+and on raise. The kernels are private: ``symmetrize`` is this module's one
+public function.
 
 ``_umath_linalg`` is private numpy API and is imported in this module only.
 These names and signatures are the ones ``np.linalg`` has called since
@@ -28,7 +28,8 @@ from .errors import NoConvergence, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-9
 
-#: largest diagonal block that ``lower_inverse`` inverts in one LAPACK call
+#: largest diagonal block that ``_lower_solve`` inverts in one LAPACK call;
+#: up to this size the solve is one inverse and one product
 _INVERSE_BLOCK = 32
 
 
@@ -78,72 +79,49 @@ def _failing_pivot(m: np.ndarray) -> int:
     return bad - 1
 
 
-def cholesky(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L with L @ L.T == matrix.
-
-    Raises NotPositiveDefinite (with the failing pivot index) when the input
-    is not positive definite. Only the lower triangle of the input is read.
-    """
-    m = np.asarray(matrix, dtype=float)
-    with np.errstate(all="ignore"):
-        return _cholesky(m)
-
-
 def _cholesky(m: np.ndarray) -> np.ndarray:
-    """``cholesky`` of a float64 array, inside the caller's errstate."""
+    """Lower Cholesky factor L with L @ L.T == m, of a float64 array.
+
+    Raises NotPositiveDefinite (with the failing pivot index) when ``m`` is
+    not positive definite. Only the lower triangle of ``m`` is read.
+    """
     lower = _lapack_cholesky(m)
     if lower is None:
         raise NotPositiveDefinite(_failing_pivot(m))
     return lower
 
 
-def lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular matrix, itself exactly
-    lower-triangular.
+def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with L X = B, for a nonsingular lower-triangular L and a B of as
+    many rows; X is exactly lower-triangular when B is.
 
-    Recurses on the 2x2 block form inv([[A, 0], [C, D]]) =
-    [[A^-1, 0], [-D^-1 C A^-1, D^-1]], the blocked scheme of LAPACK's trtri
-    (Du Croz & Higham, 1992), so the work is matrix products instead of the
-    general LU and identity solves of ``np.linalg.inv``. Diagonal blocks of
-    at most _INVERSE_BLOCK rows are inverted through their transpose: LU
-    with partial pivoting never swaps rows of an upper-triangular matrix, so
-    the solve is plain back substitution and the upper triangle stays zero.
-    Only the lower triangle of the input may be nonzero; nothing checks it.
-    A singular input gives non-finite entries, not an error.
+    Forward substitution by 2x2 blocks: with L = [[L11, 0], [L21, L22]],
+    X_top = L11^-1 B_top and X_bot = L22^-1 (B_bot - L21 X_top), so the
+    work is matrix products, as in the blocked triangular routines of LAPACK
+    (Du Croz & Higham, 1992; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 14). Diagonal blocks of at most _INVERSE_BLOCK
+    rows are inverted through their transpose and applied by one product:
+    LU with partial pivoting never swaps rows of an upper-triangular matrix,
+    so that inverse is plain back substitution and stays exactly triangular.
+    Only the lower triangle of L may be nonzero; nothing checks it. A
+    singular L gives non-finite entries, not an error.
     """
-    with np.errstate(all="ignore"):
-        return _lower_inverse(lower)
-
-
-def _lower_inverse(lower: np.ndarray) -> np.ndarray:
-    """``lower_inverse``, inside the caller's errstate."""
     n = lower.shape[0]
     if n <= _INVERSE_BLOCK:
-        return _umath_linalg.inv(lower.T, signature="d->d").T
+        return _umath_linalg.inv(lower.T, signature="d->d").T @ rhs
     k = n // 2
-    a_inv = _lower_inverse(lower[:k, :k])
-    d_inv = _lower_inverse(lower[k:, k:])
-    out = np.zeros_like(lower)
-    out[:k, :k] = a_inv
-    out[k:, k:] = d_inv
-    out[k:, :k] = -(d_inv @ (lower[k:, :k] @ a_inv))
-    return out
+    top = _lower_solve(lower[:k, :k], rhs[:k])
+    return np.concatenate((top, _lower_solve(lower[k:, k:], rhs[k:] - lower[k:, :k] @ top)))
 
 
-def sym_eigvals(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
+def _sym_eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric float64 array, ascending, without
+    eigenvectors.
 
     Backed by LAPACK's symmetric eigensolver; only the lower triangle is
     read. Non-finite input, a LAPACK failure and non-finite output each
     raise NoConvergence.
     """
-    m = np.asarray(matrix, dtype=float)
-    with np.errstate(all="ignore"):
-        return _sym_eigvals(m)
-
-
-def _sym_eigvals(m: np.ndarray) -> np.ndarray:
-    """``sym_eigvals`` of a float64 array, inside the caller's errstate."""
     # the eigensolver returns finite values for some non-finite input
     if not np.isfinite(m).all():
         raise NoConvergence("symmetric eigensolver met non-finite values")

@@ -168,29 +168,30 @@ def q_of_direction(shapes, direction) -> np.ndarray:
 def q_of_alpha(shapes, alpha) -> np.ndarray:
     """Weight-parameterized outer shape sum_k Q_k / alpha_k.
 
-    The weights must be strictly positive and sum to one.
+    The weights must be positive, finite and sum to one.
     """
     mats = [np.asarray(q, dtype=float) for q in shapes]
     w = np.asarray(alpha, dtype=float).reshape(-1)
     if len(mats) != w.shape[0]:
         raise InvalidWeights(f"{len(mats)} shapes but {w.shape[0]} weights")
-    if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidWeights("weights must be strictly positive and sum to 1")
+    if not (np.isfinite(w).all() and (w > 0.0).all()) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
+        raise InvalidWeights("weights must be positive, finite and sum to 1")
     return sum(q / a for q, a in zip(mats, w))
 
 
 def _whitened_spectrum(factor1: np.ndarray, factor2: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the exactly symmetric Gram matrix X X' of X = L1^{-1} L2,
-    Li the lower Cholesky factor of Qi: the spectrum of Q1^{-1} Q2,
-    ascending. No eigenvectors are formed. Runs inside the caller's
-    np.errstate(all="ignore").
+    """Eigenvalues of the exactly symmetric Gram matrix X X' of the solution
+    X of L1 X = L2, Li the lower Cholesky factor of Qi: the spectrum of
+    Q1^{-1} Q2, ascending. X comes from the blocked triangular solve, so no
+    inverse larger than a diagonal block is formed, and no eigenvectors are.
+    Runs inside the caller's np.errstate(all="ignore").
 
     Both operands are factors, so the spectrum is positive in exact
     arithmetic. A smallest eigenvalue that rounds to <= 0 means the
     eigenvalue ratio is beyond what double precision resolves in the Gram
     form; it raises NotPositiveDefinite with the smallest and largest values.
     """
-    values = linalg._sym_eigvals(_gram(linalg._lower_inverse(factor1) @ factor2))
+    values = linalg._sym_eigvals(_gram(linalg._lower_solve(factor1, factor2)))
     if values[0] <= 0.0:
         raise NotPositiveDefinite(
             0,
@@ -204,8 +205,8 @@ def generalized_spectrum(Q1, Q2) -> np.ndarray:
     """Positive eigenvalues of Q1^{-1} Q2, ascending.
 
     Both shapes are factored, Qi = Li Li', and the eigenvalues are those of
-    the Gram matrix X X' of the factor quotient X = L1^{-1} L2 (L1^{-1} by
-    ``linalg.lower_inverse``), which has the same spectrum and keeps the
+    the Gram matrix X X' of the factor quotient X = L1^{-1} L2 (by a
+    triangular solve with L1), which has the same spectrum and keeps the
     eigenproblem symmetric (Golub & Van Loan, Matrix Computations, 8.7).
     This is the route the pair step takes. Only the eigenvalues are
     computed.
@@ -265,8 +266,8 @@ def bracket_beta_2d(lambda1: float, lambda2: float) -> tuple[float, float]:
     formed; only within a factor of 8 of the ends of the float range do they
     fall back to the valid but loose bounds 0 and inf.
     """
-    if lambda1 <= 0.0 or lambda2 <= 0.0:
-        raise ValueError("eigenvalues must be positive")
+    if not (0.0 < lambda1 < math.inf and 0.0 < lambda2 < math.inf):
+        raise ValueError("eigenvalues must be positive and finite")
     h = 1.0 / (1.0 / lambda1 + 1.0 / lambda2)
     lo = 1.0 / (1.0 + math.sqrt(1.0 + 6.0 * h))
     hi = min(0.5 * (1.0 + math.sqrt(1.0 + 8.0 / lam)) for lam in (lambda1, lambda2))
@@ -318,7 +319,7 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     return 0.5 * (lo + hi), iterations
 
 
-def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, int]:
+def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     """Safeguarded Newton iteration for the root, in t = log beta.
 
     Newton runs on the log-ratio residual k(t) = log A - log B - t, with
@@ -334,12 +335,9 @@ def solve_beta_newton(lam, opts: SolverOptions | None = None) -> tuple[float, in
     ``opts.tolerance``; raises MaxIterationsExceeded at
     ``opts.max_iterations``. A collapsed bracket (d = 1 or equal
     eigenvalues) returns lambda^{-1/2} after 0 iterations. Returns beta and
-    the number of residual evaluations.
+    the number of residual evaluations. ``values`` is a positive finite
+    spectrum as Python floats; nothing checks it.
     """
-    return _newton(_spectrum(lam).tolist(), opts or _DEFAULT_OPTIONS)
-
-
-def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     l_min, l_max = min(values), max(values)
     if l_min == l_max:
         return 1.0 / math.sqrt(l_min), 0
@@ -347,7 +345,7 @@ def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     t = 0.5 * (lo + hi)
     for iteration in range(1, opts.max_iterations + 1):
         beta = math.exp(t)
-        a = b = d = 0.0  # A, B and D of solve_beta_newton
+        a = b = d = 0.0  # A, B and D above
         for value in values:
             scaled = beta * value
             inv = 1.0 / (1.0 + scaled)

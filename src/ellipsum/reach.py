@@ -26,19 +26,23 @@ stands for. A tube is a tuple of ellipsoids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _image_parts, _lift
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
+from .errors import DimensionMismatch, SingularMap
 from .mvoe import SolverOptions, _pair_parts
 
 #: default regularization for degenerate input images
 DEFAULT_EPS = 1e-9
 
-_INVERSE_RESIDUAL_TOL = 1e-6
+#: largest cond_2(F) of an invertible stage: eps^{-1/2}, about 6.7e7. Past
+#: it cond(F'F) = cond(F)^2 exceeds 1/eps, so F'F has no reliable Cholesky
+#: factor, and neither has the mapped state F^{-1} Q F^{-T} that a backward
+#: step factors, whose condition number is cond(F)^2 for a round Q.
+_MAX_INVERSE_COND = float(np.finfo(float).eps) ** -0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,21 +104,17 @@ class LtiStage:
 
 
 def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
-    # conditioning probe: the Gram matrix of a numerically singular F loses
-    # positive definiteness in floating point
+    sigma = np.linalg.svd(f, compute_uv=False)
+    largest, smallest = float(sigma[0]), float(sigma[-1])
+    if not (smallest > 0.0 and largest <= _MAX_INVERSE_COND * smallest):
+        cond = largest / smallest if smallest > 0.0 else math.inf
+        raise SingularMap(
+            f"state matrix is numerically singular (cond(F) {cond:.3e} > {_MAX_INVERSE_COND:.1e})"
+        )
     try:
-        linalg.cholesky(f.T @ f)
-    except NotPositiveDefinite as exc:
-        raise SingularMap("state matrix is numerically singular (Gram Cholesky failed)") from exc
-    eye = np.eye(f.shape[0])
-    try:
-        inv = np.linalg.solve(f, eye)
+        return np.linalg.solve(f, np.eye(f.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise SingularMap(f"state matrix is singular: {exc}") from exc
-    residual = float(np.max(np.abs(f @ inv - eye)))
-    if not residual < _INVERSE_RESIDUAL_TOL:
-        raise SingularMap(f"state matrix is numerically singular (inverse residual {residual:.3e})")
-    return inv
 
 
 def _step(
@@ -144,8 +144,8 @@ def step_backward(
 ) -> Ellipsoid:
     """One backward step: outer ellipsoid of F^{-1}.terminal (+) (-F^{-1}G).input_set.
 
-    Requires a nonsingular F; near-singularity is detected through the
-    explicit inverse residual, once per stage, and raises SingularMap.
+    Requires a well-conditioned F: cond_2(F) above eps^{-1/2}, read from
+    F's singular values once per stage, raises SingularMap.
     """
     return _step(terminal, stage, True, eps, opts)
 

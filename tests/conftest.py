@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from ellipsum import Ellipsoid, LtiStage
+from ellipsum.oracles import _support_terms
 
 settings.register_profile(
     "ellipsum",
@@ -18,6 +19,13 @@ def spd_matrix(rng: np.random.Generator, dim: int, log_lo: float = -2.0, log_hi:
     frame, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     m = (frame * eigs) @ frame.T
     return 0.5 * (m + m.T)
+
+
+def support(ell: Ellipsoid, direction) -> float:
+    """Support function u'c + sqrt(u'Qu) of ``ell`` in one direction, from
+    the terms the containment oracle sums."""
+    offset, radius = _support_terms(ell, np.asarray(direction, dtype=float).reshape(1, -1))
+    return float(offset[0] + radius[0])
 
 
 def random_ellipsoid(rng: np.random.Generator, dim: int, log_lo: float = -2.0, log_hi: float = 2.0) -> Ellipsoid:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix
+from conftest import random_ellipsoid, spd_matrix, support
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -70,22 +70,22 @@ class TestSupport:
     def test_unit_ball_any_direction(self):
         e = Ellipsoid(np.zeros(4), np.eye(4))
         u = unit_direction([1.0, -2.0, 0.5, 3.0])
-        assert abs(e.support(u) - 1.0) < 1e-15
+        assert abs(support(e, u) - 1.0) < 1e-15
 
     def test_shifted(self):
         e = Ellipsoid([3.0, 0.0], np.eye(2))
-        assert abs(e.support([1.0, 0.0]) - 4.0) < 1e-15
+        assert abs(support(e, [1.0, 0.0]) - 4.0) < 1e-15
 
     def test_axis_aligned(self):
         e = Ellipsoid(np.zeros(2), np.diag([4.0, 1.0]))
-        assert abs(e.support([1.0, 0.0]) - 2.0) < 1e-15
+        assert abs(support(e, [1.0, 0.0]) - 2.0) < 1e-15
 
     def test_positive_homogeneity_and_lower_bound(self):
         rng = np.random.default_rng(44)
         e = random_ellipsoid(rng, 3)
         u = rng.normal(size=3)
-        assert abs(e.support(2.5 * u) - 2.5 * e.support(u)) < 1e-10 * max(1.0, abs(e.support(u)))
-        assert e.support(u) > float(u @ e.center)
+        assert abs(support(e, 2.5 * u) - 2.5 * support(e, u)) < 1e-10 * max(1.0, abs(support(e, u)))
+        assert support(e, u) > float(u @ e.center)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -106,8 +106,8 @@ class TestAffineImage:
             image = affine_image(e, f)
             u = rng.normal(size=3)
             pulled = f.T @ u
-            expected = np.linalg.norm(pulled) * e.support(unit_direction(pulled))
-            assert abs(image.support(u) - expected) < 1e-10 * max(1.0, abs(expected))
+            expected = np.linalg.norm(pulled) * support(e, unit_direction(pulled))
+            assert abs(support(image, u) - expected) < 1e-10 * max(1.0, abs(expected))
 
     def test_volume_scales_with_det(self):
         rng = np.random.default_rng(47)

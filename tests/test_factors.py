@@ -2,9 +2,10 @@
 pair step works from the spectrum alone and boundary sampling from the factor,
 neither with eigenvectors.
 
-The whitening of the next pair step inverts the stored factor with
-``linalg.lower_inverse``, which is only correct on triangular input, so the
-invariant is checked on every route that builds an ellipsoid.
+The whitening of the next pair step solves with the stored factor by the
+blocked ``linalg._lower_solve``, which ignores the upper triangle and so is
+only correct on triangular input; the invariant is checked on every route
+that builds an ellipsoid.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from ellipsum import (
     step_forward,
 )
 
-DIMS = [1, 2, 6, 40]  # 40 crosses the block size of the triangular inverse
+DIMS = [1, 2, 6, 40]  # 40 crosses the block size of the triangular solve
 
 
 def stage(rng, dim: int, low: float, high: float) -> LtiStage:

@@ -6,7 +6,23 @@ import pytest
 from conftest import random_ellipsoid, spd_matrix
 from ellipsum import EllipsumError, Ellipsoid, NoConvergence, NotPositiveDefinite, mvoe_pair, mvoe_sum
 from ellipsum import linalg
-from ellipsum.linalg import cholesky, lower_inverse, sym_eigvals, symmetrize
+from ellipsum.linalg import symmetrize
+
+
+# the kernels run inside the single errstate their callers hold
+def cholesky(matrix):
+    with np.errstate(all="ignore"):
+        return linalg._cholesky(np.asarray(matrix, dtype=float))
+
+
+def sym_eigvals(matrix):
+    with np.errstate(all="ignore"):
+        return linalg._sym_eigvals(np.asarray(matrix, dtype=float))
+
+
+def lower_solve(lower, rhs):
+    with np.errstate(all="ignore"):
+        return linalg._lower_solve(lower, rhs)
 
 
 class TestSymmetrize:
@@ -80,7 +96,7 @@ class TestCholesky:
 
 
 class TestSymEig:
-    """The package's only eigensolver is values-only: ``sym_eigvals``."""
+    """The package's only eigensolver is values-only: ``_sym_eigvals``."""
 
     def test_identity(self):
         assert np.allclose(sym_eigvals(np.eye(3)), [1.0, 1.0, 1.0], atol=0)
@@ -135,8 +151,9 @@ def lower_triangular(rng: np.random.Generator, dim: int, cond: float) -> np.ndar
 
 
 class TestLowerInverse:
-    """The blocked triangular inverse crosses its block size (32) at 33 and
-    recurses twice at 64 and three times at 199 and 200."""
+    """The blocked triangular solve L X = B, whose solution for B = I is the
+    inverse of L. It crosses its block size (32) at 33 and recurses twice at
+    64 and three times at 199 and 200."""
 
     SIZES = [1, 2, 31, 32, 33, 64, 199, 200]
     EPS = np.finfo(float).eps
@@ -144,7 +161,7 @@ class TestLowerInverse:
     @pytest.mark.parametrize("dim", SIZES)
     def test_matches_numpy_inverse(self, dim):
         lower = cholesky(spd_matrix(np.random.default_rng(340 + dim), dim))
-        out = lower_inverse(lower)
+        out = lower_solve(lower, np.eye(dim))
         expected = np.linalg.inv(lower)
         bound = dim * self.EPS * np.linalg.cond(lower)
         assert np.linalg.norm(out - expected) <= bound * np.linalg.norm(expected)
@@ -152,16 +169,19 @@ class TestLowerInverse:
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
     @pytest.mark.parametrize("dim", SIZES)
     def test_residual_within_roundoff_bound(self, dim, cond):
-        # a backward-stable triangular inverse has ||X L - I|| of order
-        # d eps cond(L); measured at most 0.16 times that on these sizes
-        lower = lower_triangular(np.random.default_rng(350 + dim), dim, cond)
-        out = lower_inverse(lower)
-        residual = np.linalg.norm(out @ lower - np.eye(dim), 2)
-        assert residual <= dim * self.EPS * np.linalg.cond(lower)
+        # a backward-stable triangular solve has ||L X - B|| of order
+        # d eps ||L|| ||X||; measured at most 0.012 times that on these
+        # sizes (the residual's own rounding included)
+        rng = np.random.default_rng(350 + dim)
+        lower, rhs = lower_triangular(rng, dim, cond), lower_triangular(rng, dim, 1e4)
+        out = lower_solve(lower, rhs)
+        residual = np.linalg.norm(lower @ out - rhs, 2)
+        assert residual <= dim * self.EPS * np.linalg.norm(lower, 2) * np.linalg.norm(out, 2)
 
     @pytest.mark.parametrize("dim", SIZES)
     def test_result_is_exactly_lower_triangular(self, dim):
-        out = lower_inverse(lower_triangular(np.random.default_rng(360 + dim), dim, 1e8))
+        rng = np.random.default_rng(360 + dim)
+        out = lower_solve(lower_triangular(rng, dim, 1e8), lower_triangular(rng, dim, 1e4))
         assert out.shape == (dim, dim)
         assert not np.any(np.triu(out, 1))
         assert np.all(np.diagonal(out) != 0.0)
@@ -210,20 +230,15 @@ class TestDeterminant:
             assert abs(det - prod) / abs(prod) < 1e-10
 
 
-def blocked_inverse_reference(lower: np.ndarray) -> np.ndarray:
-    """``lower_inverse``'s block recursion on ``np.linalg.inv``, the wrapper
+def blocked_solve_reference(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``_lower_solve``'s block recursion on ``np.linalg.inv``, the wrapper
     over the LAPACK routine the kernel calls directly."""
     n = lower.shape[0]
     if n <= linalg._INVERSE_BLOCK:
-        return np.linalg.inv(lower.T).T
+        return np.linalg.inv(lower.T).T @ rhs
     k = n // 2
-    a_inv = blocked_inverse_reference(lower[:k, :k])
-    d_inv = blocked_inverse_reference(lower[k:, k:])
-    out = np.zeros_like(lower)
-    out[:k, :k] = a_inv
-    out[k:, k:] = d_inv
-    out[k:, :k] = -(d_inv @ (lower[k:, :k] @ a_inv))
-    return out
+    top = blocked_solve_reference(lower[:k, :k], rhs[:k])
+    return np.vstack([top, blocked_solve_reference(lower[k:, k:], rhs[k:] - lower[k:, :k] @ top)])
 
 
 def reference_pivot(m: np.ndarray) -> int:
@@ -239,7 +254,8 @@ def reference_pivot(m: np.ndarray) -> int:
     raise AssertionError("matrix factors")
 
 
-#: (name, call) for failures that public entry points turn into typed errors
+#: (name, call) for failures that the kernels and the public entry points
+#: turn into typed errors
 FAILURES = [
     ("cholesky-indefinite", lambda: cholesky(np.diag([1.0, 1.0, -1.0]))),
     ("cholesky-nan", lambda: cholesky(np.array([[1.0, 0.0], [np.nan, 1.0]]))),
@@ -253,31 +269,32 @@ FAILURES = [
 class TestGufuncKernels:
     """The kernels call numpy's LAPACK gufuncs (private numpy API) without
     the ``np.linalg`` wrappers: same routines on the same arrays, so the
-    same bits, and the wrappers' error handling is rebuilt on one errstate."""
+    same bits, and the wrappers' error handling is rebuilt on one errstate,
+    held by the caller."""
 
     DIMS = [1, 2, 6, 33, 200]
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_cholesky_is_bitwise_numpy(self, dim):
         m = spd_matrix(np.random.default_rng(500 + dim), dim)
-        assert np.array_equal(cholesky(m), np.linalg.cholesky(m))
         with np.errstate(all="ignore"):
             assert np.array_equal(linalg._cholesky(m), np.linalg.cholesky(m))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_sym_eigvals_is_bitwise_numpy(self, dim):
         m = spd_matrix(np.random.default_rng(510 + dim), dim)
-        assert np.array_equal(sym_eigvals(m), np.linalg.eigvalsh(m))
         with np.errstate(all="ignore"):
             assert np.array_equal(linalg._sym_eigvals(m), np.linalg.eigvalsh(m))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_lower_inverse_is_bitwise_numpy(self, dim):
-        lower = np.linalg.cholesky(spd_matrix(np.random.default_rng(520 + dim), dim))
-        expected = blocked_inverse_reference(lower)
-        assert np.array_equal(lower_inverse(lower), expected)
-        with np.errstate(all="ignore"):
-            assert np.array_equal(linalg._lower_inverse(lower), expected)
+        # the solve's diagonal-block inverses and products, for B = I (the
+        # inverse) and for B a Cholesky factor (the pair step's whitening)
+        rng = np.random.default_rng(520 + dim)
+        lower = np.linalg.cholesky(spd_matrix(rng, dim))
+        for rhs in (np.eye(dim), np.linalg.cholesky(spd_matrix(rng, dim))):
+            with np.errstate(all="ignore"):
+                assert np.array_equal(linalg._lower_solve(lower, rhs), blocked_solve_reference(lower, rhs))
 
     @pytest.mark.parametrize("dim", [1, 2, 6, 33])
     def test_pivot_matches_numpy(self, dim):
@@ -296,11 +313,13 @@ class TestGufuncKernels:
             sym_eigvals(np.full((2, 2), 1.7e308))
 
     def test_singular_lower_inverse_is_nonfinite_without_warning(self):
-        # pytest turns RuntimeWarning into an error, so a leak fails here
+        # pytest turns RuntimeWarning into an error, so a leak out of the
+        # errstate fails here
         for dim in (2, 40):
             lower = np.tril(np.ones((dim, dim)))
             lower[dim - 1, dim - 1] = 0.0
-            assert not np.isfinite(lower_inverse(lower)).all()
+            with np.errstate(all="ignore"):
+                assert not np.isfinite(linalg._lower_solve(lower, np.eye(dim))).all()
 
     @pytest.mark.parametrize("name, call", FAILURES, ids=[name for name, _ in FAILURES])
     def test_failures_raise_typed_errors_under_raise(self, name, call):
@@ -321,7 +340,7 @@ class TestGufuncKernels:
         with np.errstate(over="raise", invalid="warn", divide="print", under="ignore"):
             before = np.geterr()
             cholesky(m)
-            lower_inverse(np.linalg.cholesky(m))
+            lower_solve(np.linalg.cholesky(m), np.eye(4))
             sym_eigvals(m)
             Ellipsoid(np.zeros(4), m)
             mvoe_sum([Ellipsoid(np.zeros(4), m)] * 3)

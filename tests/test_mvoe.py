@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ellipsum
-from conftest import random_ellipsoid, spd_matrix
+from conftest import random_ellipsoid, spd_matrix, support
 from ellipsum import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -30,13 +30,12 @@ from ellipsum import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
-    solve_beta_newton,
     unit_ball_volume,
     unit_direction,
 )
 from ellipsum import linalg
 from ellipsum.cli import _pair_step_reports
-from ellipsum.mvoe import _fixed_point_map
+from ellipsum.mvoe import _fixed_point_map, _newton
 
 
 def planar_cubic(l1, l2, beta):
@@ -68,6 +67,7 @@ INVALID_SCALAR_INPUTS = [
     ([1.0, 2.0], math.inf, NonPositiveBeta),
     ([1.0, math.nan], 1.0, ValueError),
     ([1.0, -1.0], 1.0, ValueError),
+    ([], 1.0, ValueError),
 ]
 
 
@@ -133,6 +133,13 @@ class TestParameterizations:
             q_of_alpha([np.eye(2), np.eye(2)], [1.2, -0.2])
         with pytest.raises(InvalidWeights):
             q_of_alpha([np.eye(2)], [0.5, 0.5])
+
+    @pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.inf]])
+    def test_q_of_alpha_rejects_nonfinite_weights(self, weights):
+        # every comparison with NaN is false, so a NaN passes both a sign
+        # test and a sum test that ask what is wrong instead of what is right
+        with pytest.raises(InvalidWeights, match="finite"):
+            q_of_alpha([np.eye(2), np.eye(2)], weights)
 
     def test_containment_of_all_parameterizations(self):
         # sqrt(u'Q(.)u) >= sum_k sqrt(u'Q_k u) for any parameter choice
@@ -216,7 +223,7 @@ class TestGeneralizedSpectrum:
             e1 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
             e2 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
             lam = generalized_spectrum(e1.shape, e2.shape)
-            assert mvoe_pair(e1, e2).beta == solve_beta_newton(lam)[0]
+            assert mvoe_pair(e1, e2).beta == _newton(lam.tolist(), SolverOptions())[0]
 
 
 class TestOptimalityResidual:
@@ -310,6 +317,11 @@ class TestBracket:
             root = cubic_root_oracle(l1, l2)
             assert lo < root < hi
 
+    @pytest.mark.parametrize("pair", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_rejects_nonfinite_eigenvalues(self, pair):
+        with pytest.raises(ValueError, match="positive and finite"):
+            bracket_beta_2d(*pair)
+
 
 class TestBisection:
     def test_equal_unit_pair(self):
@@ -351,7 +363,7 @@ class TestBisection:
     def test_matches_newton_at_any_scale(self, lam):
         # products such as l1 l2 or (l1 + l2)^2 leave the float range here
         b_bis, _ = solve_beta_bisection(np.array(lam))
-        b_newton, _ = solve_beta_newton(np.array(lam))
+        b_newton, _ = _newton(list(lam), SolverOptions())
         assert abs(b_bis - b_newton) <= SolverOptions().tolerance * b_newton
 
     def test_iteration_cap(self):
@@ -381,7 +393,7 @@ class TestNewton:
         worst, most = 0.0, 0
         for k in range(400):
             lam = 10.0 ** rng.uniform(-12.0, 12.0, 1 + k % 20)
-            beta, iterations = solve_beta_newton(lam)
+            beta, iterations = _newton(list(lam), SolverOptions())
             worst = max(worst, float(abs(beta - mp_root(lam)) / beta))
             most = max(most, iterations)
         assert worst <= 1e-12
@@ -395,16 +407,16 @@ class TestNewton:
         most = 0
         for k in range(5000):
             lam = 10.0 ** rng.uniform(-12.0, 12.0, 1 + k % 20)
-            most = max(most, solve_beta_newton(lam)[1])
+            most = max(most, _newton(list(lam), SolverOptions())[1])
         assert most <= 8
 
     def test_frozen_root(self):
-        beta, _ = solve_beta_newton(np.array([1.0, 4.0]))
+        beta, _ = _newton([1.0, 4.0], SolverOptions())
         assert abs(beta - ROOT_LAMBDA_1_4) < 1e-15
 
     @pytest.mark.parametrize("lam", [[4.0], [0.25] * 3, [1e-12] * 20])
     def test_collapsed_bracket_is_exact(self, lam):
-        beta, iterations = solve_beta_newton(np.array(lam))
+        beta, iterations = _newton(list(lam), SolverOptions())
         assert beta == 1.0 / math.sqrt(lam[0])
         assert iterations == 0
 
@@ -412,26 +424,16 @@ class TestNewton:
         rng = np.random.default_rng(78)
         for dim in (2, 3, 7):
             lam = np.sort(10.0 ** rng.uniform(-3, 3, dim))
-            beta, _ = solve_beta_newton(lam)
+            beta, _ = _newton(list(lam), SolverOptions())
             assert abs(beta - solve_beta_fixed_point(lam, 1.0)[0]) <= 1e-11 * beta
             if dim == 2:
                 assert abs(beta - solve_beta_bisection(lam)[0]) <= 1e-11 * beta
 
     def test_iteration_cap(self):
         with pytest.raises(MaxIterationsExceeded) as info:
-            solve_beta_newton(np.array([1.0, 4.0]), SolverOptions(max_iterations=1))
+            _newton([1.0, 4.0], SolverOptions(max_iterations=1))
         assert info.value.iterations == 1
         assert info.value.last_beta > 0.0
-
-    def test_rejects_nonpositive_spectrum(self):
-        with pytest.raises(ValueError):
-            solve_beta_newton(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            solve_beta_newton(np.array([]))
-        # min and max skip a NaN, so unchecked the bracket would look collapsed
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive finite"):
-                solve_beta_newton(np.array([1.0, bad]))
 
 
 class TestFixedPoint:
@@ -679,8 +681,8 @@ class TestMvoeSum:
         dirs = rng.normal(size=(500, 2))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         for u in dirs:
-            total = sum(p.support(u) for p in parts)
-            assert result.ellipsoid.support(u) >= total - 1e-9
+            total = sum(support(p, u) for p in parts)
+            assert support(result.ellipsoid, u) >= total - 1e-9
 
     def test_center_is_exact_sum(self):
         rng = np.random.default_rng(76)
@@ -802,9 +804,8 @@ class TestTrustedOutputs:
         rng = np.random.default_rng(1220)
         parts = [random_ellipsoid(rng, 3) for _ in range(4)]
         calls = []
-        # the pair step factors through the private kernel, inside its own
-        # errstate; the public wrapper must not be reached either
-        for name in ("cholesky", "_cholesky", "symmetrize"):
+        # the pair step factors through the kernel, inside its own errstate
+        for name in ("_cholesky", "symmetrize"):
             real = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda m, real=real, name=name: calls.append(name) or real(m))
         mvoe_sum(parts)

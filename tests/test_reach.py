@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix, tall_stage
+from conftest import random_ellipsoid, spd_matrix, support, tall_stage
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -67,8 +67,8 @@ class TestStepForward:
         out = step_forward(state, stage, eps=1e-9)
         assert np.allclose(out.center, state.center, atol=1e-12)
         for u in rng.normal(size=(50, 2)):
-            assert out.support(u) >= state.support(u) - 1e-12
-            assert out.support(u) <= state.support(u) + 1e-3 * np.linalg.norm(u)
+            assert support(out, u) >= support(state, u) - 1e-12
+            assert support(out, u) <= support(state, u) + 1e-3 * np.linalg.norm(u)
 
     def test_output_contains_both_summands(self):
         rng = np.random.default_rng(91)
@@ -157,7 +157,7 @@ class TestStepBackward:
         stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=tiny)
         out = step_backward(terminal, stage, eps=1e-9)
         for u in rng.normal(size=(50, 2)):
-            assert out.support(u) >= terminal.support(u) - 1e-12
+            assert support(out, u) >= support(terminal, u) - 1e-12
 
     def test_singular_f_rejected(self):
         stage = LtiStage(F=[[0.0]], G=[[1.0]], input_set=interval(1.0))
@@ -165,12 +165,40 @@ class TestStepBackward:
             step_backward(interval(1.0), stage, eps=0.0)
 
     def test_near_singular_f_rejected(self):
-        # cond(F) ~ 1e200 underflows the Gram matrix pivot to zero
+        # cond(F) = 1e200; the computed inverse is exact, with residual 0
         stage = LtiStage(
             F=[[1.0, 0.0], [0.0, 1e-200]], G=np.eye(2), input_set=random_ellipsoid(np.random.default_rng(1), 2)
         )
         with pytest.raises(SingularMap):
             step_backward(random_ellipsoid(np.random.default_rng(2), 2), stage, eps=0.0)
+
+    def test_ill_conditioned_f_with_small_residual_rejected(self):
+        # cond(F) = 4e14: F'F factors and the computed F^{-1} has a residual
+        # of 4e-17, yet its relative error bound, eps cond(F), is 0.09
+        f = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]
+        stage = LtiStage(F=f, G=np.eye(2), input_set=random_ellipsoid(np.random.default_rng(3), 2))
+        with pytest.raises(SingularMap, match=r"cond\(F\) 4\.\d+e\+14"):
+            stage.inverse()
+
+    def test_inverse_follows_the_condition_bound(self):
+        # F = U diag(sigma) V' at scales 1e-3..1e3 with cond(F) swept over
+        # 10^0..10^16: above eps^{-1/2} every F raises, below a tenth of it
+        # none does
+        bound = np.finfo(float).eps ** -0.5
+        rng = np.random.default_rng(99)
+        for dim in (2, 3, 6):
+            for cond in np.logspace(0.0, 16.0, 33):
+                if bound / 10.0 <= cond <= bound:
+                    continue
+                left, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+                right, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+                sigma = 10.0 ** rng.uniform(-3.0, 3.0) * np.geomspace(1.0, 1.0 / cond, dim)
+                stage = LtiStage(F=(left * sigma) @ right.T, G=np.eye(dim), input_set=random_ellipsoid(rng, dim))
+                if cond > bound:
+                    with pytest.raises(SingularMap):
+                        stage.inverse()
+                else:
+                    stage.inverse()
 
     def test_backward_recovers_forward_start(self):
         # the backward tube from the forward endpoint must contain the start set
@@ -178,7 +206,7 @@ class TestStepBackward:
         forward = propagate_forward(interval(1.0), [stage], eps=0.0)
         back = step_backward(forward[-1], stage, eps=0.0)
         for u in ([1.0], [-1.0]):
-            assert back.support(u) >= forward[0].support(u) - 1e-12
+            assert support(back, u) >= support(forward[0], u) - 1e-12
 
 
 class TestPropagateBackward:

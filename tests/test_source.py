@@ -59,6 +59,15 @@ def test_only_ellipsoid_takes_log_dets():
     assert _modules_naming("_half_logdet") == ["ellipsoid.py"]
 
 
+def test_linalg_exports_only_what_the_package_calls():
+    # the kernels are private and run inside their caller's errstate; a
+    # public function that no other module names is a wrapper kept for tests
+    tree = ast.parse((SOURCE / "linalg.py").read_text())
+    public = [node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public
+    assert [name for name in public if not set(_modules_naming(name)) - {"linalg.py"}] == []
+
+
 def test_check_does_not_import_numpy_random(tmp_path):
     # direction sampling runs on the standard library's random module, so
     # `check` pays no numpy.random import
