@@ -4,21 +4,30 @@
 Runs every pair step of the benchmark's fold problem sets (fold_small,
 pair_large and cli_check) and its forward and backward reach tubes for the
 given seeds, then a seeded suite of random folds in d = 1..12 under every
-method, each with an affine image. It prints one SHA-256 over the bytes of
-every output's center, shape and factor and every step's beta, iteration
-count and residual, then one line per section (fold_small, pair_large,
-cli_check, reach_tube and the random suite) with the SHA-256 of that
-section's share of the same bytes, so a change that moves some outputs
-shows which sections stayed bit-identical. Log-volumes stay out of the
-digest; ``--log-volumes`` saves them to an .npy file for a separate
-comparison. Run it at two commits and compare the lines:
+method, each with an affine image. The check section runs ``ellipsum check``
+in process on each seed's cli_check problem sets and on two claims about a
+pair of the first seed's: the solver's own outer ellipsoid with its beta,
+which passes, and that ellipsoid shrunk by 1 %, which fails; the problem
+files go to a temporary directory. It prints one SHA-256 over the bytes of
+every output's center, shape and factor, every step's beta, iteration
+count and residual and every check's stdout and exit code, then one line
+per section (fold_small, pair_large, cli_check, reach_tube, check and the
+random suite) with the SHA-256 of that section's share of the same bytes,
+so a change that moves some outputs shows which sections stayed
+bit-identical. Log-volumes stay out of the digest; ``--log-volumes`` saves
+them to an .npy file for a separate comparison. Run it at two commits and
+compare the lines:
 
     PYTHONPATH=src python scripts/output_digest.py --seeds 0 1 2
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +37,14 @@ import workloads  # noqa: E402
 
 from ellipsum import Ellipsoid, LtiStage, SolverOptions, affine_image, mvoe_pair, mvoe_sum  # noqa: E402
 from ellipsum import propagate_backward, propagate_forward  # noqa: E402
+from ellipsum.cli import main as cli_main  # noqa: E402
 
 
 class Digest:
     def __init__(self):
         self.hash = hashlib.sha256()
         self.log_volumes = []
-        #: section name -> (its hash, its ellipsoid count), in first-use order
+        #: section name -> [its hash, its item count, the item kind], in first-use order
         self.sections = {}
         self.section = None
 
@@ -42,9 +52,9 @@ class Digest:
         self.hash.update(data)
         self.sections[self.section][0].update(data)
 
-    def enter(self, name):
+    def enter(self, name, kind="ellipsoids"):
         """Send what follows to section ``name`` as well as to the overall hash."""
-        self.sections.setdefault(name, [hashlib.sha256(), 0])
+        self.sections.setdefault(name, [hashlib.sha256(), 0, kind])
         self.section = name
 
     def ellipsoid(self, e):
@@ -67,10 +77,26 @@ class Digest:
         self.ellipsoid(result.ellipsoid)
         self.numbers(*betas, result.iterations, result.residual)
 
+    def check(self, path):
+        """Digest the stdout and exit code of ``ellipsum check`` on ``path``."""
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(["check", str(path)])
+        self._update(f"{stdout.getvalue()}exit {code}\n".encode())
+        self.sections[self.section][1] += 1
+
     def tube(self, raw, steps, eps, propagate):
         stage = LtiStage(raw["F"], raw["G"], Ellipsoid(raw["u_c"], raw["u_q"]))
         for e in propagate(Ellipsoid(raw["c0"], raw["q0"]), [stage] * steps, eps):
             self.ellipsoid(e)
+
+
+def write_problem(path, ellipsoids, claim=None):
+    problem = {"version": "1", "dimension": ellipsoids[0].dim, "ellipsoids": [e.to_dict() for e in ellipsoids]}
+    if claim is not None:
+        problem["claim"] = claim
+    path.write_text(json.dumps(problem))
+    return path
 
 
 def main():
@@ -91,6 +117,20 @@ def main():
         for fwd, bwd in reach.generate(seed):
             digest.tube(fwd, reach.steps, reach.eps_forward, propagate_forward)
             digest.tube(bwd, reach.steps, reach.eps_backward, propagate_backward)
+    digest.enter("check", kind="runs")
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for seed in args.seeds:
+            for i, (centers, shapes) in enumerate(workloads.CliCheck(None).generate(seed)):
+                ellipsoids = [Ellipsoid(c, q) for c, q in zip(centers, shapes)]
+                digest.check(write_problem(workdir / f"cli_check_{seed}_{i}.json", ellipsoids))
+        centers, shapes = workloads.CliCheck(None).generate(args.seeds[0])[0]
+        pair = [Ellipsoid(c, q) for c, q in zip(centers[:2], shapes[:2])]
+        result = mvoe_pair(*pair)
+        outer = result.ellipsoid
+        for name, shape in (("claim", outer.shape), ("shrunk_claim", 0.99 * outer.shape)):
+            claim = {"ellipsoid": {"center": outer.center.tolist(), "shape": shape.tolist()}, "beta": result.beta}
+            digest.check(write_problem(workdir / f"{name}.json", pair, claim))
     digest.enter("random_suite")
     rng = np.random.default_rng(2024)
     for k in range(args.folds):
@@ -100,8 +140,8 @@ def main():
             digest.fold(ellipsoids, SolverOptions(method=method))
         digest.ellipsoid(affine_image(ellipsoids[0], rng.normal(size=(d, d))))
     print(f"outputs {digest.hash.hexdigest()} ellipsoids {len(digest.log_volumes)}")
-    for name, (section, count) in digest.sections.items():
-        print(f"  {name} {section.hexdigest()} ellipsoids {count}")
+    for name, (section, count, kind) in digest.sections.items():
+        print(f"  {name} {section.hexdigest()} {kind} {count}")
     if args.log_volumes:
         np.save(args.log_volumes, np.array(digest.log_volumes))
 

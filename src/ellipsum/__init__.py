@@ -43,6 +43,7 @@ from .oracles import (
     consistency_checks,
     containment_check,
     golden_section_beta,
+    pair_step_checks,
     stationarity_check,
 )
 from .reach import LtiStage, propagate_backward, propagate_forward, step_backward, step_forward
@@ -79,6 +80,7 @@ __all__ = [
     "mvoe_sum",
     "optimality_polynomial",
     "optimality_residual",
+    "pair_step_checks",
     "propagate_backward",
     "propagate_forward",
     "q_of_alpha",

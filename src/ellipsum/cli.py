@@ -23,14 +23,8 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid
 from .errors import EllipsumError, SingularMap
-from .mvoe import SolverOptions, generalized_spectrum, mvoe_pair, mvoe_sum
-from .oracles import (
-    CheckReport,
-    consistency_checks,
-    containment_check,
-    golden_section_beta,
-    stationarity_check,
-)
+from .mvoe import SolverOptions, mvoe_pair, mvoe_sum
+from .oracles import containment_check, pair_step_checks
 from .reach import DEFAULT_EPS, LtiStage, propagate_backward, propagate_forward
 
 EXIT_OK = 0
@@ -39,10 +33,6 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_SINGULAR = 4
 EXIT_UNSUPPORTED_DIM = 5
-
-#: agreement demanded between the solver's and the search oracle's
-#: log-volumes, i.e. their relative volume difference to first order
-VOLUME_AGREEMENT_RTOL = 1e-8
 
 
 class ProblemFormatError(Exception):
@@ -76,7 +66,7 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _report_dict(report: CheckReport) -> dict:
+def _report_dict(report) -> dict:
     out = report.to_dict()
     out["worst_violation"] = _finite_or_none(out["worst_violation"])
     return out
@@ -99,11 +89,11 @@ def _parse_options(obj, overrides: argparse.Namespace) -> SolverOptions:
     method = obj.get("method", "auto")
     tolerance = obj.get("tolerance", 1e-12)
     max_iterations = obj.get("max_iterations", 200)
-    if getattr(overrides, "method", None):
+    if overrides.method:
         method = overrides.method
-    if getattr(overrides, "tol", None) is not None:
+    if overrides.tol is not None:
         tolerance = overrides.tol
-    if getattr(overrides, "max_iter", None) is not None:
+    if overrides.max_iter is not None:
         max_iterations = overrides.max_iter
     method = str(method).replace("-", "_")
     try:
@@ -200,6 +190,9 @@ def load_problem(path: str) -> dict:
         beta = cobj.get("beta")
         if beta is not None:
             beta = _json_number(beta, "claim.beta", positive=True)
+            if len(ellipsoids) != 2:
+                # a claimed beta is certified as one pair step
+                raise ProblemFormatError(f"claim.beta needs K = 2 ellipsoids, got K = {len(ellipsoids)}")
         claim = {"ellipsoid": claimed, "beta": beta}
 
     if not ellipsoids and scenario is None:
@@ -227,7 +220,7 @@ def _timed(args, label: str, fn):
     start = time.perf_counter()
     result = fn()
     elapsed = time.perf_counter() - start
-    if getattr(args, "time", False):
+    if args.time:
         print(f"ellipsum: {label} took {elapsed:.6f} s", file=sys.stderr)
     return result
 
@@ -335,27 +328,6 @@ def cmd_boundary(args) -> int:
     return EXIT_OK
 
 
-def _pair_step_reports(shape1, shape2, beta, log_volume) -> list:
-    reports = [stationarity_check(shape1, shape2, beta)]
-    lam = generalized_spectrum(shape1, shape2)
-    reports.append(consistency_checks(lam, beta))
-    _, oracle_log_volume = golden_section_beta(shape1, shape2, tol=1e-9)
-    diff = abs(log_volume - oracle_log_volume)
-    reports.append(
-        CheckReport(
-            name="volume_agreement",
-            passed=bool(diff <= VOLUME_AGREEMENT_RTOL),
-            worst_violation=float(diff - VOLUME_AGREEMENT_RTOL),
-            samples=1,
-            details=(
-                f"solver log-volume {log_volume:.12e} vs search oracle {oracle_log_volume:.12e} "
-                f"(diff {diff:.3e})"
-            ),
-        )
-    )
-    return reports
-
-
 def cmd_check(args) -> int:
     _check_oracle_flags(args)
     problem = load_problem(args.input)
@@ -364,30 +336,25 @@ def cmd_check(args) -> int:
         raise ProblemFormatError("'check' needs at least one ellipsoid")
     parts = problem["ellipsoids"]
     claim = problem["claim"]
-    reports = []
 
+    # each step is (Q1, Q2, beta, log_volume) for pair_step_checks
     if claim is not None:
         outer = claim["ellipsoid"]
-        reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
-        if claim["beta"] is not None and len(parts) == 2:
-            reports.extend(
-                _pair_step_reports(parts[0].shape, parts[1].shape, claim["beta"], outer.log_volume())
-            )
+        steps = [] if claim["beta"] is None else [(parts[0].shape, parts[1].shape, claim["beta"], outer.log_volume())]
     else:
-        def solve_and_check():
-            acc = parts[0]
-            step_reports = []
+        def fold():
+            acc, steps = parts[0], []
             for nxt in parts[1:]:
                 result = mvoe_pair(acc, nxt, opts)
-                step_reports.extend(
-                    _pair_step_reports(acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume())
-                )
+                steps.append((acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume()))
                 acc = result.ellipsoid
-            return acc, step_reports
+            return acc, steps
 
-        outer, step_reports = _timed(args, "check", solve_and_check)
-        reports.append(containment_check(outer, parts, n_dirs=args.directions, seed=args.seed))
-        reports.extend(step_reports)
+        outer, steps = _timed(args, "check", fold)
+
+    reports = [containment_check(outer, parts, n_dirs=args.directions, seed=args.seed)]
+    for step in steps:
+        reports.extend(pair_step_checks(*step))
 
     all_passed = all(r.passed for r in reports)
     payload = {

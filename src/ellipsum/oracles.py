@@ -6,8 +6,12 @@ spectral bracket (valid because the target has a single stationary point,
 which is a minimum, and that point lies in the bracket; the widening keeps
 it there when the spectrum is off), containment is tested by
 sampling support functions, and the derivative checks triangulate a closed
-form, a finite difference and the spectral sum against each other. Used by
-the test suite and by the ``check`` CLI command.
+form, a finite difference and the spectral sum against each other.
+``pair_step_checks`` is the certificate of one pair step: the stationarity,
+consistency and volume-agreement reports, all three on one generalized
+spectrum of Q1^{-1} Q2, taken once. The ``check`` CLI command runs
+``containment_check`` on its outer ellipsoid and ``pair_step_checks`` on
+each pair step; the test suite calls the checks one by one.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ FD_ROUNDOFF_FACTOR = 16.0
 
 #: relative tolerance for the root-identity check
 IDENTITY_RTOL = 1e-8
+
+#: agreement demanded between the solver's and the search oracle's
+#: log-volumes, i.e. their relative volume difference to first order
+VOLUME_AGREEMENT_RTOL = 1e-8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -107,7 +115,12 @@ def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
         raise ValueError("tol must be positive")
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
-    lam = generalized_spectrum(a, b)
+    return _golden_section(a, b, generalized_spectrum(a, b), tol)
+
+
+def _golden_section(a: np.ndarray, b: np.ndarray, lam: np.ndarray, tol: float) -> tuple[float, float]:
+    """The search of ``golden_section_beta`` on the spectrum ``lam`` of
+    a^{-1} b; ``tol`` is positive."""
     lo = -0.5 * math.log(lam[-1]) - _BRACKET_PAD
     hi = -0.5 * math.log(lam[0]) + _BRACKET_PAD
 
@@ -269,7 +282,11 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     """
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
-    lam = generalized_spectrum(a, b)
+    return _stationarity(a, b, generalized_spectrum(a, b), beta)
+
+
+def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) -> CheckReport:
+    """The check of ``stationarity_check`` on the spectrum ``lam`` of a^{-1} b."""
     if _beyond_float_range(lam, beta, max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))):
         return _not_evaluated("stationarity", 3, beta)
     closed = logdet_derivative(a, b, beta)
@@ -326,3 +343,33 @@ def consistency_checks(lam, beta_plus: float) -> CheckReport:
             f"identity lhs {lhs:.12e} vs rhs {rhs:.12e} (rel {rel:.3e}), curvature {curvature:.6e}"
         ),
     )
+
+
+def pair_step_checks(Q1, Q2, beta: float, log_volume: float) -> list[CheckReport]:
+    """The certificate of one pair step: Q1 and Q2 are its operands' shapes,
+    ``beta`` its parameter and ``log_volume`` that of its outer ellipsoid.
+
+    Returns the ``stationarity`` and ``consistency`` reports at ``beta`` and
+    a ``volume_agreement`` report, which passes when ``log_volume`` is within
+    VOLUME_AGREEMENT_RTOL of the golden-section oracle's (tolerance 1e-9 in
+    log beta). The three share one generalized spectrum of Q1^{-1} Q2.
+    """
+    a = np.asarray(Q1, dtype=float)
+    b = np.asarray(Q2, dtype=float)
+    lam = generalized_spectrum(a, b)
+    reports = [_stationarity(a, b, lam, beta), consistency_checks(lam, beta)]
+    _, oracle_log_volume = _golden_section(a, b, lam, 1e-9)
+    diff = abs(log_volume - oracle_log_volume)
+    reports.append(
+        CheckReport(
+            name="volume_agreement",
+            passed=bool(diff <= VOLUME_AGREEMENT_RTOL),
+            worst_violation=float(diff - VOLUME_AGREEMENT_RTOL),
+            samples=1,
+            details=(
+                f"solver log-volume {log_volume:.12e} vs search oracle {oracle_log_volume:.12e} "
+                f"(diff {diff:.3e})"
+            ),
+        )
+    )
+    return reports

@@ -417,6 +417,36 @@ class TestCheck:
         assert main(["check", inp]) == 2
         assert "claim.beta" in capsys.readouterr().err
 
+    def test_claim_beta_with_three_ellipsoids_exits_2(self, tmp_path, capsys):
+        # a claimed beta certifies one pair step; with K = 3 it was ignored
+        problem = extreme_claim_problem(1.0)
+        problem["ellipsoids"].append(disk_dict())
+        inp = write_problem(tmp_path / "p.json", problem)
+        assert main(["check", inp]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "claim.beta" in captured.err and "K = 3" in captured.err
+
+    def test_one_spectrum_per_solve_and_per_certificate(self, tmp_path, capsys, monkeypatch):
+        # K = 4: three pair solves and three certificates, one whitened
+        # spectrum each
+        from ellipsum import mvoe
+
+        calls = []
+        whitened_spectrum = mvoe._whitened_spectrum
+
+        def counted(*args):
+            calls.append(1)
+            return whitened_spectrum(*args)
+
+        monkeypatch.setattr(mvoe, "_whitened_spectrum", counted)
+        rng = np.random.default_rng(117)
+        parts = [random_ellipsoid(rng, 3).to_dict() for _ in range(4)]
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 3, "ellipsoids": parts})
+        assert main(["check", inp]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 1 + 3 * 3
+        assert len(calls) == 6
+
     def test_extreme_claim_beta_fails_with_strict_json(self, tmp_path, capsys):
         # the closed forms at this beta leave the float range, so the two
         # checks fail without being evaluated, and without a RuntimeWarning
@@ -556,6 +586,14 @@ class TestTimeFlag:
         assert main(["sum", inp, out, "--time"]) == 0
         captured = capsys.readouterr()
         assert "took" in captured.err
+
+    def test_check_times_once_and_still_reports(self, tmp_path, capsys):
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        assert main(["check", inp, "--time"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ellipsum: check took ")
+        assert json.loads(captured.out)["passed"] is True
 
 
 def overflow_sum_problem():

@@ -25,6 +25,7 @@ from ellipsum import (
     mvoe_sum,
     optimality_polynomial,
     optimality_residual,
+    pair_step_checks,
     q_of_alpha,
     q_of_beta,
     q_of_direction,
@@ -34,7 +35,6 @@ from ellipsum import (
     unit_direction,
 )
 from ellipsum import linalg
-from ellipsum.cli import _pair_step_reports
 from ellipsum.mvoe import _fixed_point_map, _newton
 
 
@@ -777,7 +777,7 @@ class TestTrustedOutputs:
                 worst = max(worst, abs(log_volume - mp_log_volume(result.ellipsoid.shape)))
                 # stationarity is left out: its finite-difference leg is the
                 # oracle at fault on such shapes, not the solver
-                reports = _pair_step_reports(acc.shape, nxt.shape, result.beta, log_volume)
+                reports = pair_step_checks(acc.shape, nxt.shape, result.beta, log_volume)
                 disagreements += [r.details for r in reports if r.name == "volume_agreement" and not r.passed]
                 steps += 1
                 acc = result.ellipsoid

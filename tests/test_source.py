@@ -59,6 +59,13 @@ def test_only_ellipsoid_takes_log_dets():
     assert _modules_naming("_half_logdet") == ["ellipsoid.py"]
 
 
+def test_cli_names_no_oracle_internals():
+    # check hands each pair step to oracles.pair_step_checks, which takes
+    # the spectrum once; the CLI neither takes it nor runs the checks alone
+    for name in ("generalized_spectrum", "golden_section_beta", "stationarity_check", "consistency_checks"):
+        assert "cli.py" not in _modules_naming(name), name
+
+
 def test_linalg_exports_only_what_the_package_calls():
     # the kernels are private and run inside their caller's errstate; a
     # public function that no other module names is a wrapper kept for tests
