@@ -4,17 +4,19 @@
 Runs every pair step of the benchmark's fold problem sets (fold_small,
 pair_large and cli_check) and its forward and backward reach tubes for the
 given seeds, then a seeded suite of random folds in d = 1..12 under every
-method, each with an affine image. The check section runs ``ellipsum check``
+method, each with an affine image, and a seeded set of single-summand folds
+(K = 1, d = 1..12) under every method, whose digest also takes each
+result's ``method`` string. The check section runs ``ellipsum check``
 in process on each seed's cli_check problem sets and on two claims about a
 pair of the first seed's: the solver's own outer ellipsoid with its beta,
 which passes, and that ellipsoid shrunk by 1 %, which fails; the problem
 files go to a temporary directory. It prints one SHA-256 over the bytes of
 every output's center, shape and factor, every step's beta, iteration
 count and residual and every check's stdout and exit code, then one line
-per section (fold_small, pair_large, cli_check, reach_tube, check and the
-random suite) with the SHA-256 of that section's share of the same bytes,
-so a change that moves some outputs shows which sections stayed
-bit-identical. Log-volumes stay out of the digest; ``--log-volumes`` saves
+per section (fold_small, pair_large, cli_check, reach_tube, check, the
+random suite and single_summand) with the SHA-256 of that section's share
+of the same bytes, so a change that moves some outputs shows which
+sections stayed bit-identical. Log-volumes stay out of the digest; ``--log-volumes`` saves
 them to an .npy file for a separate comparison. Run it at two commits and
 compare the lines:
 
@@ -76,6 +78,13 @@ class Digest:
         result, betas = mvoe_sum(ellipsoids, opts)
         self.ellipsoid(result.ellipsoid)
         self.numbers(*betas, result.iterations, result.residual)
+
+    def single(self, ellipsoid, opts):
+        """Digest the K = 1 fold of ``ellipsoid`` and the method its result reports."""
+        result, betas = mvoe_sum([ellipsoid], opts)
+        self.ellipsoid(result.ellipsoid)
+        self.numbers(*betas, result.beta, result.iterations, result.residual)
+        self._update(result.method.encode())
 
     def check(self, path):
         """Digest the stdout and exit code of ``ellipsum check`` on ``path``."""
@@ -139,6 +148,12 @@ def main():
         for method in ("auto", "fixed_point", "trace") + (("bisection",) if d == 2 else ()):
             digest.fold(ellipsoids, SolverOptions(method=method))
         digest.ellipsoid(affine_image(ellipsoids[0], rng.normal(size=(d, d))))
+    digest.enter("single_summand")
+    rng = np.random.default_rng(2025)
+    for d in range(1, 13):
+        ellipsoid = Ellipsoid(rng.normal(size=d), workloads._spd(rng, d, -3.0, 3.0))
+        for method in ("auto", "bisection", "fixed_point", "trace"):
+            digest.single(ellipsoid, SolverOptions(method=method))
     print(f"outputs {digest.hash.hexdigest()} ellipsoids {len(digest.log_volumes)}")
     for name, (section, count, kind) in digest.sections.items():
         print(f"  {name} {section.hexdigest()} {kind} {count}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid
 from .errors import EllipsumError, SingularMap
-from .mvoe import SolverOptions, mvoe_pair, mvoe_sum
+from .mvoe import METHODS, SolverOptions, mvoe_pair, mvoe_sum
 from .oracles import containment_check, pair_step_checks
 from .reach import DEFAULT_EPS, LtiStage, propagate_backward, propagate_forward
 
@@ -83,21 +83,18 @@ def _parse_ellipsoid(obj, where: str, dim: int | None = None) -> Ellipsoid:
 
 
 def _parse_options(obj, overrides: argparse.Namespace) -> SolverOptions:
+    """SolverOptions from the problem file's ``options`` and the flags, which
+    win; a field that neither sets keeps the SolverOptions default."""
     obj = obj or {}
     if not isinstance(obj, dict):
         raise ProblemFormatError("'options' must be an object")
-    method = obj.get("method", "auto")
-    tolerance = obj.get("tolerance", 1e-12)
-    max_iterations = obj.get("max_iterations", 200)
-    if overrides.method:
-        method = overrides.method
-    if overrides.tol is not None:
-        tolerance = overrides.tol
-    if overrides.max_iter is not None:
-        max_iterations = overrides.max_iter
-    method = str(method).replace("-", "_")
+    fields = {key: obj[key] for key in ("method", "tolerance", "max_iterations") if key in obj}
+    flags = {"method": overrides.method, "tolerance": overrides.tol, "max_iterations": overrides.max_iter}
+    fields.update((key, value) for key, value in flags.items() if value is not None)
+    if "method" in fields:
+        fields["method"] = str(fields["method"]).replace("-", "_")
     try:
-        return SolverOptions(tolerance=tolerance, max_iterations=max_iterations, method=method)
+        return SolverOptions(**fields)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid solver options: {exc}") from exc
 
@@ -373,12 +370,11 @@ def cmd_check(args) -> int:
 def _add_solver_flags(parser):
     parser.add_argument(
         "--method",
-        choices=["auto", "bisection", "fixed-point", "fixed_point", "trace"],
-        default=None,
-        help="root-finding method (default: problem file or 'auto')",
+        choices=[*METHODS, "fixed-point"],
+        help=f"root-finding method (default: problem file or {SolverOptions.method!r})",
     )
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance (default 1e-12)")
-    parser.add_argument("--max-iter", type=int, default=None, help="iteration cap (default 200)")
+    parser.add_argument("--tol", type=float, help=f"solver tolerance (default {SolverOptions.tolerance:g})")
+    parser.add_argument("--max-iter", type=int, help=f"iteration cap (default {SolverOptions.max_iterations})")
     parser.add_argument("--time", action="store_true", help="print wall-clock per solve to stderr")
 
 

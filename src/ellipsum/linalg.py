@@ -8,12 +8,12 @@ wrapping, type resolution and per-call ``np.errstate``, which at d = 2 cost
 several times the LAPACK call. A gufunc that fails fills its output with NaN
 and raises the floating-point invalid flag. The kernels check their output
 and turn that NaN into the package's typed errors. The flag is silenced by
-one ``np.errstate(all="ignore")`` per unit of work, held by the caller: the
-pair step, the reach step, ``affine_image`` and ``Ellipsoid`` construction
-each call the kernels inside their own single errstate. So no call leaks a
-``RuntimeWarning``, and the caller's ``np.geterr()`` is restored on return
-and on raise. The kernels are private: ``symmetrize`` is this module's one
-public function.
+one ``np.errstate(all="ignore")`` per unit of work, held by the caller:
+``mvoe_pair``, a fold of ``mvoe_sum``, the reach step, ``affine_image`` and
+``Ellipsoid`` construction each call the kernels inside their own single
+errstate. So no call leaks a ``RuntimeWarning``, and the caller's
+``np.geterr()`` is restored on return and on raise. The kernels are
+private: ``symmetrize`` is this module's one public function.
 
 ``_umath_linalg`` is private numpy API and is imported in this module only.
 These names and signatures are the ones ``np.linalg`` has called since

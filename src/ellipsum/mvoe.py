@@ -40,7 +40,8 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-METHODS = ("auto", "bisection", "fixed_point", "trace")
+#: each settable method and the name that its results report
+METHODS = {"auto": "newton", "bisection": "bisection", "fixed_point": "fixed_point", "trace": "trace"}
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -55,8 +56,9 @@ class SolverOptions:
     residual is reported but not used to stop. The tolerance must be a
     positive and finite number, not a bool. ``max_iterations``, an integer
     of at least 1, caps the iterations of every method; reaching it raises
-    MaxIterationsExceeded. ``method`` "auto" runs the Newton solver in every
-    dimension, and results report it as "newton".
+    MaxIterationsExceeded. ``method`` is a key of ``METHODS``, which maps it
+    to the name results report: "auto" runs the Newton solver in every
+    dimension and reports "newton".
     """
 
     tolerance: float = 1e-12
@@ -72,7 +74,7 @@ class SolverOptions:
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError("max_iterations must be an integer of at least 1")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
 
 
 _DEFAULT_OPTIONS = SolverOptions()
@@ -135,9 +137,14 @@ def _spectrum(lam) -> np.ndarray:
 
 def _positive_beta(beta) -> float:
     """``beta`` as a float, or NonPositiveBeta unless it is positive and
-    finite: the beta check of the scalar spectrum helpers and of
-    ``solve_beta_fixed_point``'s start."""
-    if not (math.isfinite(beta) and beta > 0.0):
+    finite: the one beta check of ``q_of_beta``, the scalar spectrum
+    helpers, ``solve_beta_fixed_point``'s start and the oracles. A beta
+    that is not a real number, such as None or a string, raises it too."""
+    try:
+        valid = math.isfinite(beta) and beta > 0.0
+    except TypeError:
+        valid = False
+    if not valid:
         raise NonPositiveBeta(f"beta must be positive and finite, got {beta!r}")
     return float(beta)
 
@@ -145,8 +152,7 @@ def _positive_beta(beta) -> float:
 def q_of_beta(Q1, Q2, beta: float) -> np.ndarray:
     """Outer shape matrix (1 + 1/beta) Q1 + (1 + beta) Q2 for beta > 0."""
     a, b = _check_pair(Q1, Q2)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta)) or beta <= 0.0:
-        raise NonPositiveBeta(f"beta must be a positive finite scalar, got {beta!r}")
+    beta = _positive_beta(beta)
     return (1.0 + 1.0 / beta) * a + (1.0 + beta) * b
 
 
@@ -410,60 +416,55 @@ def beta_trace_optimal(Q1, Q2) -> float:
     return math.sqrt(float(np.trace(a)) / float(np.trace(b)))
 
 
-def _resolve_method(method: str) -> str:
-    return "newton" if method == "auto" else method
-
-
 def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
     """The pair step on two operands given as parts (center, SPD shape, its
     lower Cholesky factor): returns the outer ellipsoid's parts, beta, the
-    iteration count and |optimality residual|.
+    iteration count and the spectrum as Python floats, from which
+    ``_result`` sums the residual of a reported step.
 
     Nothing is validated here. Only the spectrum l of Q1^{-1} Q2 is
     computed, as the eigenvalues of the Gram matrix of L1^{-1} L2, never its
     eigenvectors. The output factor is the Cholesky factor of Q(beta); no
     log-det is taken here, as ``Ellipsoid.log_volume`` reads it from that
-    factor. The residual is summed over Python floats.
+    factor. ``opts.method`` is a key of ``METHODS``.
 
     Runs inside the caller's np.errstate(all="ignore"), entered once per
-    pair step (by ``mvoe_pair``, each fold step of ``mvoe_sum`` and each
-    reach step), so a LAPACK failure or an overflow surfaces only as the
-    typed error its check raises.
+    ``mvoe_pair``, per fold of ``mvoe_sum`` and per reach step, so a LAPACK
+    failure or an overflow surfaces only as the typed error its check
+    raises.
     """
     opts = opts or _DEFAULT_OPTIONS
     center1, q1, factor1 = parts1
     center2, q2, factor2 = parts2
     lam = _whitened_spectrum(factor1, factor2)
     values = lam.tolist()
-    method = _resolve_method(opts.method)
-    if method == "newton":
+    if opts.method == "auto":
         beta, iterations = _newton(values, opts)
-    elif method == "bisection":
+    elif opts.method == "bisection":
         beta, iterations = solve_beta_bisection(lam, opts)
-    elif method == "fixed_point":
+    elif opts.method == "fixed_point":
         beta, iterations = solve_beta_fixed_point(lam, beta_trace_optimal(q1, q2), opts)
-    elif method == "trace":
+    else:  # "trace"
         beta, iterations = beta_trace_optimal(q1, q2), 0
-    else:
-        raise ValueError(f"unknown method {method!r}")
     shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
-    factor = _factored(shape)
+    return (center1 + center2, shape, _factored(shape)), beta, iterations, values
+
+
+def _result(ellipsoid: Ellipsoid, beta: float, iterations: int, values, opts: SolverOptions) -> MvoeResult:
+    """The record of a reported pair step, the one place an MvoeResult is
+    built: |optimality residual| is summed over the spectrum ``values``
+    (Python floats) here, once per result, not on every step."""
     residual = 0.0
     for value in values:
         scaled = beta * value
         residual += (1.0 - beta * scaled) / (1.0 + scaled)
-    return (center1 + center2, shape, factor), beta, iterations, abs(residual)
-
-
-def _result(parts, beta: float, iterations: int, residual: float, opts: SolverOptions) -> MvoeResult:
-    out = Ellipsoid._trusted(parts)
     return MvoeResult(
         beta=beta,
-        ellipsoid=out,
-        volume=out.volume(),
-        method=_resolve_method(opts.method),
+        ellipsoid=ellipsoid,
+        volume=ellipsoid.volume(),
+        method=METHODS[opts.method],
         iterations=iterations,
-        residual=residual,
+        residual=abs(residual),
     )
 
 
@@ -482,19 +483,19 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
     with np.errstate(all="ignore"):
-        step = _pair_parts(e1._parts, e2._parts, opts)
-    return _result(*step, opts)
+        parts, beta, iterations, values = _pair_parts(e1._parts, e2._parts, opts)
+    return _result(Ellipsoid._trusted(parts), beta, iterations, values, opts)
 
 
 def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult, list[float]]:
     """Outer ellipsoid of the Minkowski sum of K ellipsoids by a left fold.
 
     Folds in input order: acc <- mvoe_pair(acc, E_k), with the intermediate
-    outer ellipsoids carried as parts and only the final one built. The fold
-    order is significant for the quality of the K > 2 approximation and is
-    kept as given. Returns the final pair result together with every
-    intermediate beta (empty for K = 1, where the input is returned
-    unchanged with a neutral result record).
+    outer ellipsoids carried as parts and only the final one built, all
+    inside one np.errstate. The fold order is significant for the quality
+    of the K > 2 approximation and is kept as given. Returns the final pair
+    result together with every intermediate beta (empty for K = 1, where the
+    input is returned unchanged with a neutral result record).
     """
     opts = opts or _DEFAULT_OPTIONS
     items = list(ellipsoids)
@@ -504,20 +505,11 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
     if len(items) == 1:
-        only = items[0]
-        result = MvoeResult(
-            beta=1.0,
-            ellipsoid=only,
-            volume=only.volume(),
-            method=_resolve_method(opts.method),
-            iterations=0,
-            residual=0.0,
-        )
-        return result, []
+        return _result(items[0], 1.0, 0, [], opts), []
     parts = items[0]._parts
     betas: list[float] = []
-    for nxt in items[1:]:
-        with np.errstate(all="ignore"):
-            parts, beta, iterations, residual = _pair_parts(parts, nxt._parts, opts)
-        betas.append(beta)
-    return _result(parts, beta, iterations, residual, opts), betas
+    with np.errstate(all="ignore"):
+        for nxt in items[1:]:
+            parts, beta, iterations, values = _pair_parts(parts, nxt._parts, opts)
+            betas.append(beta)
+    return _result(Ellipsoid._trusted(parts), beta, iterations, values, opts), betas

@@ -11,7 +11,8 @@ form, a finite difference and the spectral sum against each other.
 consistency and volume-agreement reports, all three on one generalized
 spectrum of Q1^{-1} Q2, taken once. The ``check`` CLI command runs
 ``containment_check`` on its outer ellipsoid and ``pair_step_checks`` on
-each pair step; the test suite calls the checks one by one.
+each pair step; the test suite calls the checks one by one. Each oracle
+that takes a beta raises NonPositiveBeta unless it is positive and finite.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ellipsoid import Ellipsoid, _log_unit_ball_volume
-from .mvoe import generalized_spectrum, logdet_curvature, optimality_residual, q_of_beta
+from .errors import DimensionMismatch
+from .mvoe import _positive_beta, generalized_spectrum, logdet_curvature, optimality_residual, q_of_beta
 
 #: absolute support-function slack for containment checks; a report's
 #: ``worst_violation`` is the largest violation minus this
@@ -193,11 +195,15 @@ def containment_check(outer: Ellipsoid, parts, n_dirs: int = 1000, seed: int = 0
     its direction's slack, max(CONTAINMENT_TOL, CONTAINMENT_ROUNDOFF_FACTOR *
     d * eps * m) with m = sum_k (|u'c_k| + sqrt(u'Q_k u)), which grows with
     the supports compared; so at large scale a report can pass with
-    ``worst_violation`` above zero.
+    ``worst_violation`` above zero. Parts of another dimension than
+    ``outer`` raise DimensionMismatch.
     """
     parts = list(parts)
     if n_dirs < 1:
         raise ValueError("n_dirs must be at least 1")
+    for k, part in enumerate(parts):
+        if part.dim != outer.dim:
+            raise DimensionMismatch(f"part {k} has dim {part.dim}, the outer ellipsoid has dim {outer.dim}")
     dirs = sample_directions(outer.dim, n_dirs, seed)
     total = np.zeros(n_dirs)
     magnitude = np.zeros(n_dirs)
@@ -244,6 +250,7 @@ def logdet_derivative(Q1, Q2, beta: float) -> float:
     -1/(beta (1+beta)) * trace((I + beta R)^{-1} (I - beta^2 R)),
     R = Q1^{-1} Q2, evaluated on the symmetric whitened form of R.
     """
+    beta = _positive_beta(beta)
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
     L = np.linalg.cholesky(a)
@@ -280,6 +287,7 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     (b) the same roundoff floor. A ``beta`` at which these forms could
     overflow fails with an infinite violation and is not evaluated.
     """
+    beta = _positive_beta(beta)
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
     return _stationarity(a, b, generalized_spectrum(a, b), beta)
@@ -324,6 +332,7 @@ def consistency_checks(lam, beta_plus: float) -> CheckReport:
     root. A ``beta_plus`` at which these forms could overflow fails with an
     infinite violation and is not evaluated.
     """
+    beta_plus = _positive_beta(beta_plus)
     values = np.asarray(lam, dtype=float).reshape(-1)
     d = values.shape[0]
     if _beyond_float_range(values, beta_plus):
@@ -354,6 +363,7 @@ def pair_step_checks(Q1, Q2, beta: float, log_volume: float) -> list[CheckReport
     VOLUME_AGREEMENT_RTOL of the golden-section oracle's (tolerance 1e-9 in
     log beta). The three share one generalized spectrum of Q1^{-1} Q2.
     """
+    beta = _positive_beta(beta)
     a = np.asarray(Q1, dtype=float)
     b = np.asarray(Q2, dtype=float)
     lam = generalized_spectrum(a, b)

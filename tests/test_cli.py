@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from conftest import random_ellipsoid
 from ellipsum import Ellipsoid, mvoe_pair
-from ellipsum.cli import main
+from ellipsum.cli import _parse_options, build_parser, main
+from ellipsum.mvoe import METHODS, SolverOptions
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -631,3 +633,20 @@ def test_overflow_prints_only_the_solver_error(tmp_path, command, problem):
     )
     assert run.returncode == 3
     assert run.stderr == "ellipsum: solver error: shape matrix has non-finite entries (overflow)\n"
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["sum", "reach", "check"])
+def test_method_choices_are_the_solver_methods(command):
+    # the flag's choices come from mvoe.METHODS, plus the hyphenated spelling
+    (action,) = [a for a in _subparsers(build_parser())[command]._actions if a.dest == "method"]
+    assert set(action.choices) == set(METHODS) | {"fixed-point"}
+
+
+def test_unset_options_are_the_solver_defaults():
+    flags = argparse.Namespace(method=None, tol=None, max_iter=None)
+    assert _parse_options(None, flags) == SolverOptions()

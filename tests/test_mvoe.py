@@ -84,9 +84,13 @@ class TestParameterizations:
         assert np.allclose(out, 9.0 * np.eye(2), atol=0)
 
     def test_q_of_beta_rejects_bad_beta(self):
-        for beta in (0.0, -1.0, math.nan, math.inf):
+        for beta in (0.0, -1.0, math.nan, math.inf, None, "0.5"):
             with pytest.raises(NonPositiveBeta):
                 q_of_beta(np.eye(2), np.eye(2), beta)
+
+    def test_q_of_beta_takes_a_numpy_float(self):
+        eye = np.eye(2)
+        assert np.array_equal(q_of_beta(eye, eye, np.float32(0.5)), q_of_beta(eye, eye, 0.5))
 
     def test_q_of_direction_equal_disks(self):
         out = q_of_direction([np.eye(2), np.eye(2)], [1.0, 0.0])

@@ -1,20 +1,25 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_ellipsoid, spd_matrix
 from ellipsum import (
+    DimensionMismatch,
     Ellipsoid,
+    NonPositiveBeta,
     SolverOptions,
     consistency_checks,
     containment_check,
     generalized_spectrum,
     golden_section_beta,
     mvoe_pair,
+    pair_step_checks,
     solve_beta_bisection,
     solve_beta_fixed_point,
+    stationarity_check,
 )
 from ellipsum import oracles
 from ellipsum.mvoe import _newton
@@ -109,6 +114,15 @@ class TestContainment:
         report = containment_check(shrunk, [disk, disk], n_dirs=200, seed=0)
         assert not report.passed
         assert report.worst_violation > 0.0
+
+    def test_dimension_mismatch_is_named_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("directions sampled")
+
+        monkeypatch.setattr(oracles, "sample_directions", refuse)
+        outer = Ellipsoid(np.zeros(3), np.eye(3))
+        with pytest.raises(DimensionMismatch, match="dim 2, the outer ellipsoid has dim 3"):
+            containment_check(outer, [outer, Ellipsoid(np.zeros(2), np.eye(2))])
 
     def test_single_part_equal_to_outer(self):
         rng = np.random.default_rng(83)
@@ -293,3 +307,24 @@ class TestConsistency:
         report = consistency_checks(np.ones(3), 1.0)
         data = report.to_dict()
         assert set(data) == {"name", "passed", "worst_violation", "samples", "details"}
+
+
+# each oracle that takes a beta, called with that beta
+BETA_ORACLES = {
+    "logdet_derivative": lambda beta: logdet_derivative(np.eye(2), 2.0 * np.eye(2), beta),
+    "stationarity_check": lambda beta: stationarity_check(np.eye(2), 2.0 * np.eye(2), beta),
+    "consistency_checks": lambda beta: consistency_checks([1.0, 2.0], beta),
+    "pair_step_checks": lambda beta: pair_step_checks(np.eye(2), 2.0 * np.eye(2), beta, 0.0),
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name", sorted(BETA_ORACLES))
+def test_oracles_reject_a_beta_that_is_not_positive_and_finite(name, beta):
+    # the one beta rule of q_of_beta and the spectrum helpers, raised before
+    # any arithmetic on beta can warn or divide by zero
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonPositiveBeta):
+            BETA_ORACLES[name](beta)
+    assert caught == []

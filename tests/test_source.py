@@ -66,6 +66,20 @@ def test_cli_names_no_oracle_internals():
         assert "cli.py" not in _modules_naming(name), name
 
 
+def test_mvoe_builds_results_in_one_function():
+    # every MvoeResult, of mvoe_pair, of a fold and of a K = 1 fold, comes
+    # from one builder, so its fields cannot drift between them
+    tree = ast.parse((SOURCE / "mvoe.py").read_text())
+    builders = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "MvoeResult"
+    ]
+    assert builders == ["_result"]
+
+
 def test_linalg_exports_only_what_the_package_calls():
     # the kernels are private and run inside their caller's errstate; a
     # public function that no other module names is a wrapper kept for tests
