@@ -21,6 +21,15 @@ them to an .npy file for a separate comparison. Run it at two commits and
 compare the lines:
 
     PYTHONPATH=src python scripts/output_digest.py --seeds 0 1 2
+
+A change that moves outputs at roundoff shows in every hash, so
+``--against FILE`` compares this run's log-volumes with a ``--log-volumes``
+file saved at another commit with the same arguments: it prints, per
+section, the largest |a - b| / max(1, |a|) with a from FILE, and exits 1
+when the two runs' counts differ:
+
+    PYTHONPATH=src python scripts/output_digest.py --log-volumes parent.npy   # at the parent
+    PYTHONPATH=src python scripts/output_digest.py --against parent.npy       # at the change
 """
 
 import argparse
@@ -46,6 +55,8 @@ class Digest:
     def __init__(self):
         self.hash = hashlib.sha256()
         self.log_volumes = []
+        #: the section of each entry of ``log_volumes``
+        self.volume_sections = []
         #: section name -> [its hash, its item count, the item kind], in first-use order
         self.sections = {}
         self.section = None
@@ -63,6 +74,7 @@ class Digest:
         for array in (e.center, e.shape, e.factor):
             self._update(np.ascontiguousarray(array).tobytes())
         self.log_volumes.append(e.log_volume())
+        self.volume_sections.append(self.section)
         self.sections[self.section][1] += 1
 
     def numbers(self, *values):
@@ -113,6 +125,7 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2], help="benchmark problem-set seeds")
     parser.add_argument("--folds", type=int, default=400, help="random folds in the seeded suite")
     parser.add_argument("--log-volumes", help="save every output's log-volume to this .npy file")
+    parser.add_argument("--against", help="compare the log-volumes with this --log-volumes file of another commit")
     args = parser.parse_args()
 
     digest = Digest()
@@ -159,7 +172,27 @@ def main():
         print(f"  {name} {section.hexdigest()} {kind} {count}")
     if args.log_volumes:
         np.save(args.log_volumes, np.array(digest.log_volumes))
+    if args.against:
+        return compare(np.load(args.against), digest)
+    return 0
+
+
+def compare(reference, digest):
+    """Print, per section, the largest relative log-volume difference from
+    ``reference``; 1 when the counts differ, else 0."""
+    ours = np.array(digest.log_volumes)
+    if reference.shape != ours.shape:
+        print(f"log-volume counts differ: {reference.shape[0]} in the file, {ours.shape[0]} here", file=sys.stderr)
+        return 1
+    sections = np.array(digest.volume_sections)
+    relative = np.abs(reference - ours) / np.maximum(1.0, np.abs(reference))
+    print(f"log-volumes against {reference.shape[0]} of the file: largest |a - b| / max(1, |a|)")
+    for name in digest.sections:
+        in_section = sections == name
+        if in_section.any():
+            print(f"  {name} {relative[in_section].max():.3e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

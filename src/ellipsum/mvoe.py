@@ -33,6 +33,7 @@ from .ellipsoid import Ellipsoid, _factored, _gram, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
+    EllipsumError,
     EmptyInput,
     InvalidWeights,
     MaxIterationsExceeded,
@@ -185,19 +186,21 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
     return sum(q / a for q, a in zip(mats, w))
 
 
-def _whitened_spectrum(factor1: np.ndarray, factor2: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the exactly symmetric Gram matrix X X' of the solution
-    X of L1 X = L2, Li the lower Cholesky factor of Qi: the spectrum of
-    Q1^{-1} Q2, ascending. X comes from the blocked triangular solve, so no
-    inverse larger than a diagonal block is formed, and no eigenvectors are.
-    Runs inside the caller's np.errstate(all="ignore").
+def _whitened_spectrum(factor: np.ndarray, pulled: np.ndarray) -> list[float]:
+    """Eigenvalues, ascending and as Python floats, of the exactly symmetric
+    Gram matrix X X' of the solution X of L X = P, L the lower Cholesky
+    factor of Q1 and P P' = Q2: the spectrum of Q1^{-1} Q2. P is Q2's own
+    factor in a pair step and a factor of M^{-1} Q2 M^{-T} in a mapped
+    step of ``_chain``. X comes from the blocked triangular solve, so no
+    inverse larger than a diagonal block is formed, and no eigenvectors
+    are. Runs inside the caller's np.errstate(all="ignore").
 
-    Both operands are factors, so the spectrum is positive in exact
-    arithmetic. A smallest eigenvalue that rounds to <= 0 means the
-    eigenvalue ratio is beyond what double precision resolves in the Gram
-    form; it raises NotPositiveDefinite with the smallest and largest values.
+    L and P are factors, so the spectrum is positive in exact arithmetic.
+    A smallest eigenvalue that rounds to <= 0 means the eigenvalue ratio is
+    beyond what double precision resolves in the Gram form; it raises
+    NotPositiveDefinite with the smallest and largest values.
     """
-    values = linalg._sym_eigvals(_gram(linalg._lower_solve(factor1, factor2)))
+    values = linalg._sym_eigvals(_gram(linalg._lower_solve(factor, pulled)))
     if values[0] <= 0.0:
         raise NotPositiveDefinite(
             0,
@@ -219,7 +222,7 @@ def generalized_spectrum(Q1, Q2) -> np.ndarray:
     """
     a, b = _check_pair(Q1, Q2)
     with np.errstate(all="ignore"):
-        return _whitened_spectrum(linalg._cholesky(a), linalg._cholesky(b))
+        return np.array(_whitened_spectrum(linalg._cholesky(a), linalg._cholesky(b)))
 
 
 def optimality_residual(lam, beta: float) -> float:
@@ -325,7 +328,7 @@ def solve_beta_bisection(lam, opts: SolverOptions | None = None) -> tuple[float,
     return 0.5 * (lo + hi), iterations
 
 
-def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
+def _newton(values: list[float], opts: SolverOptions, start: float | None = None) -> tuple[float, int]:
     """Safeguarded Newton iteration for the root, in t = log beta.
 
     Newton runs on the log-ratio residual k(t) = log A - log B - t, with
@@ -335,8 +338,11 @@ def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
     D = sum_i beta l_i/(1 + beta l_i)^2, and since D <= A B / d (Chebyshev's
     sum inequality; A + B = d), k' lies in [-2, -1]: k is nearly linear in t
     at any scale. The bracket [-1/2 log lambda_max, -1/2 log lambda_min]
-    holds the root in any dimension. Each evaluation of k shrinks it by the
-    sign of k; a Newton step that leaves it is replaced by its midpoint.
+    holds the root in any dimension. The iteration starts at ``start``, a
+    beta such as the previous step's in a chain of pair steps, when its log
+    lies strictly inside the bracket, and at the bracket's midpoint
+    otherwise. Each evaluation of k shrinks the bracket by the sign of k; a
+    Newton step that leaves it is replaced by its midpoint.
     Stops when the step in t, i.e. the relative change of beta, is at most
     ``opts.tolerance``; raises MaxIterationsExceeded at
     ``opts.max_iterations``. A collapsed bracket (d = 1 or equal
@@ -349,15 +355,20 @@ def _newton(values: list[float], opts: SolverOptions) -> tuple[float, int]:
         return 1.0 / math.sqrt(l_min), 0
     lo, hi = -0.5 * math.log(l_max), -0.5 * math.log(l_min)
     t = 0.5 * (lo + hi)
+    if start is not None:
+        t_start = math.log(start)
+        if lo < t_start < hi:
+            t = t_start
     for iteration in range(1, opts.max_iterations + 1):
         beta = math.exp(t)
         a = b = d = 0.0  # A, B and D above
         for value in values:
             scaled = beta * value
             inv = 1.0 / (1.0 + scaled)
+            term = scaled * inv
             a += inv
-            b += scaled * inv
-            d += scaled * inv * inv
+            b += term
+            d += term * inv
         k = math.log(a / b) - t
         if k == 0.0:
             return beta, iteration
@@ -416,38 +427,55 @@ def beta_trace_optimal(Q1, Q2) -> float:
     return math.sqrt(float(np.trace(a)) / float(np.trace(b)))
 
 
-def _pair_parts(parts1, parts2, opts: SolverOptions | None = None):
-    """The pair step on two operands given as parts (center, SPD shape, its
-    lower Cholesky factor): returns the outer ellipsoid's parts, beta, the
-    iteration count and the spectrum as Python floats, from which
-    ``_result`` sums the residual of a reported step.
+def _chain(parts, steps, opts: SolverOptions):
+    """Pair steps in sequence, each on the previous step's output: yields,
+    per step, the outer ellipsoid's parts (center, SPD shape, its lower
+    Cholesky factor), beta, the iteration count and the spectrum as Python
+    floats, from which ``_result`` sums the residual of a reported step.
+    ``parts`` are the first operand's; computed parts are not validated.
 
-    Nothing is validated here. Only the spectrum l of Q1^{-1} Q2 is
-    computed, as the eigenvalues of the Gram matrix of L1^{-1} L2, never its
-    eigenvectors. The output factor is the Cholesky factor of Q(beta); no
-    log-det is taken here, as ``Ellipsoid.log_volume`` reads it from that
-    factor. ``opts.method`` is a key of ``METHODS``.
+    A step is (m, center2, shape2, pulled). With m None it sums the carried
+    set E(c, Q = L L') with E(center2, shape2), and ``pulled`` is shape2's
+    lower factor: ``mvoe_pair`` is one such step, a fold K - 1. With a map
+    m it first carries the set to E(m c, m Q m'), the shape formed as the
+    Gram matrix of m L and never factored, and ``pulled`` is a factor of
+    m^{-1} shape2 m^{-T}: (m Q m')^{-1} shape2 and Q^{-1} m^{-1} shape2
+    m^{-T} are similar, so the spectrum is taken against L, in the
+    pre-image coordinates of m. A reach tube is one mapped step per stage.
+    Only the spectrum is computed, never eigenvectors; the one Cholesky
+    factorization of a step is that of Q(beta). ``opts.method`` is a key of
+    ``METHODS``; Newton starts from the previous step's beta.
 
     Runs inside the caller's np.errstate(all="ignore"), entered once per
-    ``mvoe_pair``, per fold of ``mvoe_sum`` and per reach step, so a LAPACK
+    ``mvoe_pair``, per fold of ``mvoe_sum`` and per tube, so a LAPACK
     failure or an overflow surfaces only as the typed error its check
-    raises.
+    raises. A mapped shape that overflowed makes the spectrum fail; that
+    raises the same EllipsumError as an overflowed Q(beta).
     """
-    opts = opts or _DEFAULT_OPTIONS
-    center1, q1, factor1 = parts1
-    center2, q2, factor2 = parts2
-    lam = _whitened_spectrum(factor1, factor2)
-    values = lam.tolist()
-    if opts.method == "auto":
-        beta, iterations = _newton(values, opts)
-    elif opts.method == "bisection":
-        beta, iterations = solve_beta_bisection(lam, opts)
-    elif opts.method == "fixed_point":
-        beta, iterations = solve_beta_fixed_point(lam, beta_trace_optimal(q1, q2), opts)
-    else:  # "trace"
-        beta, iterations = beta_trace_optimal(q1, q2), 0
-    shape = (1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2  # q_of_beta, unchecked
-    return (center1 + center2, shape, _factored(shape)), beta, iterations, values
+    center, shape, factor = parts
+    beta = None
+    for m, center2, shape2, pulled in steps:
+        if m is not None:
+            center = np.dot(m, center)
+            shape = _gram(np.dot(m, factor))
+        try:
+            values = _whitened_spectrum(factor, pulled)
+        except EllipsumError as exc:
+            if not np.logical_and.reduce(np.isfinite(shape), axis=None):
+                raise EllipsumError("shape matrix has non-finite entries (overflow)") from exc
+            raise
+        if opts.method == "auto":
+            beta, iterations = _newton(values, opts, beta)
+        elif opts.method == "bisection":
+            beta, iterations = solve_beta_bisection(values, opts)
+        elif opts.method == "fixed_point":
+            beta, iterations = solve_beta_fixed_point(values, beta_trace_optimal(shape, shape2), opts)
+        else:  # "trace"
+            beta, iterations = beta_trace_optimal(shape, shape2), 0
+        center = center + center2
+        shape = (1.0 + 1.0 / beta) * shape + (1.0 + beta) * shape2  # q_of_beta, unchecked
+        factor = _factored(shape)
+        yield (center, shape, factor), beta, iterations, values
 
 
 def _result(ellipsoid: Ellipsoid, beta: float, iterations: int, values, opts: SolverOptions) -> MvoeResult:
@@ -483,7 +511,7 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
     with np.errstate(all="ignore"):
-        parts, beta, iterations, values = _pair_parts(e1._parts, e2._parts, opts)
+        parts, beta, iterations, values = next(_chain(e1._parts, ((None, *e2._parts),), opts))
     return _result(Ellipsoid._trusted(parts), beta, iterations, values, opts)
 
 
@@ -506,10 +534,9 @@ def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult,
         raise DimensionMismatch(f"mixed dimensions in input: {sorted(dims)}")
     if len(items) == 1:
         return _result(items[0], 1.0, 0, [], opts), []
-    parts = items[0]._parts
+    steps = [(None, *e._parts) for e in items[1:]]
     betas: list[float] = []
     with np.errstate(all="ignore"):
-        for nxt in items[1:]:
-            parts, beta, iterations, values = _pair_parts(parts, nxt._parts, opts)
+        for parts, beta, iterations, values in _chain(items[0]._parts, steps, opts):
             betas.append(beta)
     return _result(Ellipsoid._trusted(parts), beta, iterations, values, opts), betas

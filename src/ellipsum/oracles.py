@@ -280,9 +280,12 @@ def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
     really is a stationary point. That product is the derivative in log
     beta, -r(beta)/(1 + beta) with r the optimality residual; it is
     scale-free and bounded by d, where d/dbeta itself decays like d/beta
-    far above the root. Agreement has an absolute floor for values near zero:
-    1e-8, raised for the two comparisons with (b) to FD_ROUNDOFF_FACTOR
-    times its roundoff, eps * (cond(Q(beta)) + sum_i |log s_i|) / h with
+    far above the root. Agreement has a floor for values near zero. Between
+    (a) and (c) it is 1e-8 / beta, i.e. 1e-8 on the derivative in log beta:
+    both are formed from quantities whose rounding is scale-free in log
+    beta, so their difference in d/dbeta scales like 1/beta. For the two
+    comparisons with (b) it is 1e-8, raised to FD_ROUNDOFF_FACTOR times
+    the roundoff of (b), eps * (cond(Q(beta)) + sum_i |log s_i|) / h with
     step h and s the singular values of Q(beta). The magnitude test forgives
     (b) the same roundoff floor. A ``beta`` at which these forms could
     overflow fails with an infinite violation and is not evaluated.
@@ -306,7 +309,7 @@ def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) ->
     logdet_error = s[0] / s[-1] + float(np.sum(np.abs(np.log(s))))
     fd_roundoff = np.finfo(float).eps * logdet_error / (FD_REL_STEP * beta)
     fd_atol = max(atol, FD_ROUNDOFF_FACTOR * fd_roundoff)
-    triples = [(closed, fd, fd_atol), (closed, spectral, atol), (fd, spectral, fd_atol)]
+    triples = [(closed, fd, fd_atol), (closed, spectral, atol / beta), (fd, spectral, fd_atol)]
     agree_excess = max(
         abs(x - y) - (DERIVATIVE_RTOL * max(abs(x), abs(y)) + floor) for x, y, floor in triples
     )

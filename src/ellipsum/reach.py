@@ -11,17 +11,19 @@ Rank-deficient input images G Q G' (tall G) are regularized to
 G Q G' + eps max(tr(G Q G')/n, 1) I, the package's one lift, reached only
 through ``eps``; pass eps = 0 for well-posed inputs to keep steps exact.
 
-Both directions run one step: it maps the state's parts once through
-their factor, q = (M L)(M L)' with Q = L L' and M = F forward or the
-stage's F^{-1} backward, a Gram product that is exactly symmetric; factors
-q once by Cholesky; and hands it with the stage's input image, also parts,
-to the pair step. Only the tube entry becomes an ``Ellipsoid``, through
-``Ellipsoid._trusted``, which rejects a center that overflowed. ``F`` and
-``G`` are validated once per stage; input images are computed ellipsoids
-like the step outputs, factored once per stage, direction and eps, and not
-validated. Each step factors its mapped state afresh instead of carrying an
-inverse factor from the previous step, which would drift from the shape it
-stands for. A tube is a tuple of ellipsoids.
+A tube, of either direction, is one chain of mapped pair steps
+(``mvoe._chain``) under one np.errstate. Each step maps the state's parts
+through M = F forward or the stage's F^{-1} backward, the shape as the
+Gram matrix of M L with Q = L L', which is exactly symmetric; it takes the
+spectrum in the pre-image coordinates of M, against the state's own factor
+L and a factor of M^{-1} Q_in M^{-T} for the stage's input image Q_in, so
+the mapped state is never factored; and it factors only its output. Only
+the tube entries become ``Ellipsoid``s, through ``Ellipsoid._trusted``,
+which rejects a center that overflowed. ``F`` and ``G`` are validated once
+per stage. The input images are computed ellipsoids like the step outputs,
+and each stage keeps, per direction and eps, its input image and that
+pulled-back factor: F^{-1} L_in from one solve forward, F L_in backward. So
+both directions need an invertible F. A tube is a tuple of ellipsoids.
 """
 
 from __future__ import annotations
@@ -31,17 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _image_parts, _lift
+from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _lift
 from .errors import DimensionMismatch, SingularMap
-from .mvoe import SolverOptions, _pair_parts
+from .mvoe import _DEFAULT_OPTIONS, SolverOptions, _chain
 
 #: default regularization for degenerate input images
 DEFAULT_EPS = 1e-9
 
-#: largest cond_2(F) of an invertible stage: eps^{-1/2}, about 6.7e7. Past
-#: it cond(F'F) = cond(F)^2 exceeds 1/eps, so F'F has no reliable Cholesky
-#: factor, and neither has the mapped state F^{-1} Q F^{-T} that a backward
-#: step factors, whose condition number is cond(F)^2 for a round Q.
+#: largest cond_2(F) of a backward stage: eps^{-1/2}, about 6.7e7. Past it
+#: cond(F'F) = cond(F)^2 exceeds 1/eps, so F'F has no reliable Cholesky
+#: factor, and the mapped state F^{-1} Q F^{-T} of a backward step, whose
+#: condition number is cond(F)^2 for a round Q, is not resolved either.
 _MAX_INVERSE_COND = float(np.finfo(float).eps) ** -0.5
 
 
@@ -50,9 +52,9 @@ class LtiStage:
     """One time step of x+ = F x + G u with input set u in ``input_set``.
 
     ``F`` and ``G`` are stored as read-only copies, so what propagation
-    derives from them (F^{-1} and the lifted input images) is computed on
-    first use and kept with the stage: a tube that repeats one stage pays
-    for it once.
+    derives from them (F^{-1}, the lifted input images and their pulled-back
+    factors) is computed on first use and kept with the stage: a tube that
+    repeats one stage pays for it once.
     """
 
     F: np.ndarray
@@ -93,13 +95,29 @@ class LtiStage:
         N = M L_U, L_U the input set's factor, which is exactly symmetric; it
         is lifted and factored once. An eps that is negative or not finite
         raises ValueError and an overflowed shape EllipsumError. Runs inside
-        ``_step``'s np.errstate(all="ignore")."""
+        the tube's np.errstate(all="ignore")."""
         key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
             center, _, lower = self.input_set._parts
             shape = _lift(_gram(mapping @ lower), eps)
             self._derived[key] = (mapping @ center, shape, _factored(shape))
+        return self._derived[key]
+
+    def _chain_step(self, eps: float, backward: bool):
+        """This stage's step of ``mvoe._chain``: (M, the input image's center
+        and shape, M^{-1} L_in), M = F forward and F^{-1} backward, L_in the
+        input image's factor. Forward, M^{-1} L_in is one solve with F,
+        which raises SingularMap for a singular F; backward it is the
+        product F L_in. Kept per direction and eps, like the input image."""
+        key = ("step", backward, eps)
+        if key not in self._derived:
+            center, shape, lower = self._input_image(eps, backward)
+            if backward:
+                step = (self.inverse(), center, shape, self.F @ lower)
+            else:
+                step = (self.F, center, shape, _solve_or_raise(self.F, lower))
+            self._derived[key] = step
         return self._derived[key]
 
 
@@ -111,22 +129,18 @@ def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
         raise SingularMap(
             f"state matrix is numerically singular (cond(F) {cond:.3e} > {_MAX_INVERSE_COND:.1e})"
         )
+    return _solve_or_raise(f, np.eye(f.shape[0]))
+
+
+def _solve_or_raise(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """F^{-1} rhs; SingularMap when F is singular or the product overflows."""
     try:
-        return np.linalg.solve(f, np.eye(f.shape[0]))
+        out = np.linalg.solve(f, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularMap(f"state matrix is singular: {exc}") from exc
-
-
-def _step(
-    x: Ellipsoid, stage: LtiStage, backward: bool, eps: float, opts: SolverOptions | None
-) -> Ellipsoid:
-    if x.dim != stage.n:
-        raise DimensionMismatch(f"set has dim {x.dim}, stage expects {stage.n}")
-    # one errstate for the step: the image's factorization and the pair step
-    with np.errstate(all="ignore"):
-        mapped = _image_parts(x._parts, stage.inverse() if backward else stage.F)
-        parts = _pair_parts(mapped, stage._input_image(eps, backward), opts)[0]
-    return Ellipsoid._trusted(parts)
+        raise SingularMap(f"state matrix F is singular: {exc}") from exc
+    if not np.isfinite(out).all():
+        raise SingularMap("state matrix F is numerically singular: F^{-1} times the right side overflows")
+    return out
 
 
 def step_forward(
@@ -134,9 +148,9 @@ def step_forward(
 ) -> Ellipsoid:
     """One forward step: outer ellipsoid of F.state (+) G.input_set.
 
-    A singular image F Q F' raises SingularMap, an overflow EllipsumError.
+    A singular F raises SingularMap, an overflow EllipsumError.
     """
-    return _step(state, stage, False, eps, opts)
+    return _propagate(state, (stage,), False, eps, opts)[1]
 
 
 def step_backward(
@@ -147,15 +161,22 @@ def step_backward(
     Requires a well-conditioned F: cond_2(F) above eps^{-1/2}, read from
     F's singular values once per stage, raises SingularMap.
     """
-    return _step(terminal, stage, True, eps, opts)
+    return _propagate(terminal, (stage,), True, eps, opts)[1]
 
 
-def _propagate(x: Ellipsoid, stages, step, eps: float, opts: SolverOptions | None) -> tuple[Ellipsoid, ...]:
-    # ``step`` is the public step_forward or step_backward, looked up by the
-    # caller at call time, so a wrapper installed on it sees every step
+def _propagate(
+    x: Ellipsoid, stages, backward: bool, eps: float, opts: SolverOptions | None
+) -> tuple[Ellipsoid, ...]:
+    def steps():
+        for stage in stages:
+            if stage.n != x.dim:
+                raise DimensionMismatch(f"set has dim {x.dim}, stage expects {stage.n}")
+            yield stage._chain_step(eps, backward)
+
     tube = [x]
-    for stage in stages:
-        tube.append(step(tube[-1], stage, eps, opts))
+    with np.errstate(all="ignore"):
+        for step in _chain(x._parts, steps(), opts or _DEFAULT_OPTIONS):
+            tube.append(Ellipsoid._trusted(step[0]))
     return tuple(tube)
 
 
@@ -166,7 +187,7 @@ def propagate_forward(
 
     Returns a tuple of len(stages) + 1 ellipsoids whose first entry is ``x0``.
     """
-    return _propagate(x0, stages, step_forward, eps, opts)
+    return _propagate(x0, stages, False, eps, opts)
 
 
 def propagate_backward(
@@ -175,4 +196,4 @@ def propagate_backward(
     """Iterate ``step_backward`` from the terminal set, walking the stages in
     reverse. Returns a tuple whose entry 0 is the terminal set; increasing
     indices move backward in time."""
-    return _propagate(x1, reversed(list(stages)), step_backward, eps, opts)
+    return _propagate(x1, reversed(list(stages)), True, eps, opts)

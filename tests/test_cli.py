@@ -227,7 +227,7 @@ class TestReach:
         inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 2, "scenario": scenario})
         out = tmp_path / "r.json"
         assert main(["reach", inp, str(out)]) == 3
-        assert "not positive definite" in capsys.readouterr().err
+        assert "state matrix F is singular" in capsys.readouterr().err
         assert not out.exists()
         assert os.listdir(tmp_path) == ["p.json"]
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix
+from conftest import random_ellipsoid, spd_matrix, tall_stage
 from ellipsum import EllipsumError, Ellipsoid, NoConvergence, NotPositiveDefinite, mvoe_pair, mvoe_sum
+from ellipsum import propagate_backward, propagate_forward
 from ellipsum import linalg
 from ellipsum.linalg import symmetrize
 
@@ -364,4 +365,27 @@ class TestGufuncKernels:
             monkeypatch.setattr(np.linalg, name, refuse)
         result, betas = mvoe_sum(parts)
         assert len(betas) == len(parts) - 1
+        assert entered == [{"all": "ignore"}]
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_tube_enters_one_errstate_per_tube_and_no_wrapper(self, monkeypatch, backward):
+        rng = np.random.default_rng(551)
+        low, high = (1.1, 2.0) if backward else (0.5, 0.9)
+        stages = [tall_stage(rng, 4, 2, low, high) for _ in range(3)] * 10
+        x0 = random_ellipsoid(rng, 4)
+        entered = []
+        real_errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return real_errstate(**kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg wrapper called")
+
+        monkeypatch.setattr(np, "errstate", counting)
+        for name in ("cholesky", "inv", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        tube = (propagate_backward if backward else propagate_forward)(x0, stages, eps=1e-9)
+        assert len(tube) == len(stages) + 1
         assert entered == [{"all": "ignore"}]

@@ -779,8 +779,8 @@ class TestTrustedOutputs:
                 result = mvoe_pair(acc, nxt)
                 log_volume = result.ellipsoid.log_volume()
                 worst = max(worst, abs(log_volume - mp_log_volume(result.ellipsoid.shape)))
-                # stationarity is left out: its finite-difference leg is the
-                # oracle at fault on such shapes, not the solver
+                # the other reports of `check` are asserted on this sweep,
+                # extended to 300 folds, in test_oracles.py
                 reports = pair_step_checks(acc.shape, nxt.shape, result.beta, log_volume)
                 disagreements += [r.details for r in reports if r.name == "volume_agreement" and not r.passed]
                 steps += 1

@@ -238,6 +238,32 @@ class TestStationarity:
                 acc = result.ellipsoid
         assert not failed
 
+    def test_check_passes_at_solver_roots_across_twenty_four_decades(self):
+        # what `check` runs, on 300 folds (d = 2..8, K = 2..4) of shapes
+        # s O diag(10^U(-3, 3)) O', s = 10^U(-12, 12): the closed form's
+        # rounding in d/dbeta grows like 1/beta, so with the (closed,
+        # spectral) floor at 1e-8 in d/dbeta rather than in log beta,
+        # stationarity failed at 22 steps of 21 folds, all with beta < 0.1
+        rng = np.random.default_rng(7)
+
+        def shape(d):
+            frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            m = (frame * 10.0 ** rng.uniform(-3.0, 3.0, d)) @ frame.T
+            return 10.0 ** rng.uniform(-12.0, 12.0) * (0.5 * (m + m.T))
+
+        failed = []
+        for _ in range(300):
+            d, k = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+            parts = [Ellipsoid(rng.normal(size=d), shape(d)) for _ in range(k)]
+            acc, reports = parts[0], []
+            for nxt in parts[1:]:
+                result = mvoe_pair(acc, nxt)
+                reports += pair_step_checks(acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume())
+                acc = result.ellipsoid
+            reports.append(containment_check(acc, parts, n_dirs=1000, seed=0))
+            failed += [r.details for r in reports if not r.passed]
+        assert failed == []
+
     @pytest.mark.parametrize("beta", [1e7, 1e100])
     def test_far_above_root_fails(self, beta):
         # the root is 1; d/dbeta decays like d/beta, so only the derivative in

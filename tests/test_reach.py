@@ -280,10 +280,18 @@ class TestStageReuse:
 
 class TestSingularImage:
     def test_forward_rank_deficient_map_raises(self):
-        # F Q F' = [[1, 1], [1, 1]] for Q = I: the factorization fails at pivot 1
+        # a forward step pulls the input image back through F^{-1}, which
+        # this F of rank 1 does not have
         stage = LtiStage(F=[[1.0, 0.0], [1.0, 0.0]], G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
-        with pytest.raises(SingularMap, match=r"image shape matrix is not positive definite.*\(pivot 1\)"):
+        with pytest.raises(SingularMap, match=r"state matrix F is singular"):
             propagate_forward(Ellipsoid(np.zeros(2), np.eye(2)), [stage])
+
+    def test_forward_map_whose_inverse_overflows_raises(self):
+        # F^{-1} L_in = 1e350 I: F is invertible in exact arithmetic, but the
+        # input image cannot be pulled back through it in double precision
+        stage = LtiStage(F=1e-200 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), 1e300 * np.eye(2)))
+        with pytest.raises(SingularMap, match=r"state matrix F is numerically singular"):
+            step_forward(Ellipsoid(np.zeros(2), np.eye(2)), stage, eps=0.0)
 
     def test_overflowing_tube_is_not_reported_singular(self):
         stage = LtiStage(F=1e100 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
@@ -342,25 +350,27 @@ class TestInputImages:
             propagate(interval(1.0), [scalar_stage(0.5, 1.0)], eps=eps)
 
 
-def recording_kernel(monkeypatch):
-    """Record the beta of every pair step the reach module takes."""
+def recording_chain(monkeypatch):
+    """Record the beta of every pair step the reach module's chain takes."""
     from ellipsum import reach
 
     betas = []
-    kernel = reach._pair_parts
+    chain = reach._chain
 
     def recording(*args):
-        step = kernel(*args)
-        betas.append(step[1])
-        return step
+        for step in chain(*args):
+            betas.append(step[1])
+            yield step
 
-    monkeypatch.setattr(reach, "_pair_parts", recording)
+    monkeypatch.setattr(reach, "_chain", recording)
     return betas
 
 
 class TestLongTubes:
-    """Each step factors its mapped state afresh; over 1000 steps the stored
-    factor, log-volume and every beta must stay on a validated reference."""
+    """Each step takes its spectrum against the previous step's factor, in
+    the pre-image coordinates of the map, and factors only its output; over
+    1000 steps the stored factor, log-volume and every beta must stay on a
+    validated reference."""
 
     @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("dim", [3, 6])
@@ -371,7 +381,7 @@ class TestLongTubes:
         low, high = (1.0 / 0.9, 2.0) if backward else (0.5, 0.9)
         stages = [tall_stage(rng, dim, 2, low, high) for _ in range(10)] * 100
         x0 = random_ellipsoid(rng, dim)
-        betas = recording_kernel(monkeypatch)
+        betas = recording_chain(monkeypatch)
         if backward:
             tube = propagate_backward(x0, stages, eps=1e-9)
             maps = [(s.inverse(), s._input_image(1e-9, True)) for s in reversed(stages)]
@@ -391,6 +401,53 @@ class TestLongTubes:
         assert worst_factor <= 1e-10
         assert worst_log_volume <= 1e-10
         assert worst_beta <= 1e-10
+
+
+class TestPullBack:
+    """A reach step takes its spectrum against the state's own factor and a
+    factor of M^{-1} Q_in M^{-T}: F^{-1} L_in from a solve forward, F L_in
+    backward. Its log-volume must match that of the pair E(M q, M Q M') and
+    the input image, solved from their generalized spectrum."""
+
+    @staticmethod
+    def reference_log_volume(q1, q2):
+        sl = pytest.importorskip("scipy.linalg")
+        so = pytest.importorskip("scipy.optimize")
+        lam = sl.eigh(q2, q1, eigvals_only=True)
+
+        def residual(t):
+            beta = np.exp(t)
+            return float(np.sum((1.0 - beta * beta * lam) / (1.0 + beta * lam)))
+
+        t = so.brentq(residual, -0.5 * np.log(lam[-1]), -0.5 * np.log(lam[0]), xtol=1e-14)
+        beta = float(np.exp(t))
+        _, logdet = np.linalg.slogdet((1.0 + 1.0 / beta) * q1 + (1.0 + beta) * q2)
+        return float(np.log(unit_ball_volume(q1.shape[0])) + 0.5 * logdet)
+
+    @pytest.mark.parametrize("cond", [1e1, 1e3, 1e5])
+    def test_log_volume_matches_generalized_eigh_reference(self, cond):
+        # F = O diag(1 .. 1/cond) at d = 6, with round states and inputs, so
+        # that the conditioning under test is F's
+        rng = np.random.default_rng(1330 + int(np.log10(cond)))
+        d = 6
+        worst = 0.0
+        for _ in range(10):
+            frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            g_frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            stage = LtiStage(
+                F=frame * np.geomspace(1.0, 1.0 / cond, d),
+                G=g_frame * rng.uniform(0.5, 1.0, d),
+                input_set=random_ellipsoid(rng, d, -0.5, 0.5),
+            )
+            x = random_ellipsoid(rng, d, -0.5, 0.5)
+            for step, m, n in (
+                (step_forward, stage.F, stage.G),
+                (step_backward, np.linalg.inv(stage.F), -np.linalg.inv(stage.F) @ stage.G),
+            ):
+                expected = self.reference_log_volume(m @ x.shape @ m.T, n @ stage.input_set.shape @ n.T)
+                got = step(x, stage, eps=0.0).log_volume()
+                worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
+        assert worst <= 1e-10
 
 
 class TestStepsDoNotValidate:
@@ -421,3 +478,21 @@ class TestStepsDoNotValidate:
         propagate_forward(x0, forward, eps=1e-9)
         propagate_backward(x0, backward, eps=1e-9)
         assert calls == {"construct": 0, "symmetrize": 0}
+
+    def test_steps_factor_only_their_output(self, monkeypatch):
+        # the mapped state is never factored: one Cholesky per step, of the
+        # step's outer shape, once the stages' input images are factored
+        from ellipsum import linalg
+
+        rng = np.random.default_rng(1321)
+        x0 = random_ellipsoid(rng, 4)
+        forward = [tall_stage(rng, 4, 2, 0.5, 0.9) for _ in range(5)] * 4
+        backward = [tall_stage(rng, 4, 2, 1.1, 2.0) for _ in range(5)] * 4
+        propagate_forward(x0, forward, eps=1e-9)
+        propagate_backward(x0, backward, eps=1e-9)
+        calls = []
+        cholesky = linalg._cholesky
+        monkeypatch.setattr(linalg, "_cholesky", lambda m: calls.append(m.shape) or cholesky(m))
+        propagate_forward(x0, forward, eps=1e-9)
+        propagate_backward(x0, backward, eps=1e-9)
+        assert len(calls) == len(forward) + len(backward)

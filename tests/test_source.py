@@ -80,6 +80,15 @@ def test_mvoe_builds_results_in_one_function():
     assert builders == ["_result"]
 
 
+def test_one_chain_of_pair_steps():
+    # mvoe_pair, mvoe_sum and the reach tubes run one chain of pair steps;
+    # a reach step whitens in the pre-image coordinates of its map and so
+    # neither has its own pair kernel nor maps and factors the state
+    assert _modules_naming("_pair_parts") == []
+    assert _modules_naming("_chain") == ["mvoe.py", "reach.py"]
+    assert "reach.py" not in _modules_naming("_image_parts")
+
+
 def test_linalg_exports_only_what_the_package_calls():
     # the kernels are private and run inside their caller's errstate; a
     # public function that no other module names is a wrapper kept for tests
