@@ -46,7 +46,7 @@ from .oracles import (
     pair_step_checks,
     stationarity_check,
 )
-from .reach import LtiStage, propagate_backward, propagate_forward, step_backward, step_forward
+from .reach import LtiStage, propagate_backward, propagate_forward
 
 __version__ = "0.1.0"
 
@@ -89,8 +89,6 @@ __all__ = [
     "solve_beta_bisection",
     "solve_beta_fixed_point",
     "stationarity_check",
-    "step_backward",
-    "step_forward",
     "unit_ball_volume",
     "unit_direction",
 ]

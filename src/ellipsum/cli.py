@@ -3,16 +3,17 @@
 Subcommands: ``sum`` (outer ellipsoid of a Minkowski sum), ``reach``
 (forward/backward tube propagation), ``boundary`` (CSV boundary points for
 plotting) and ``check`` (run the verification oracles). Inputs are JSON
-problem files; results are written atomically (temp file + rename) so a
-failed run never leaves a partial output. Exit codes: 0 ok, 1 check failed,
-2 parse error (including invalid flags and non-finite scenario values),
-3 numeric/solver error, 4 singular state matrix in backward mode,
-5 unsupported dimension.
+problem files; each output file is written atomically (temp file + rename,
+the temp file removed on failure), so a failed write leaves no partial
+file. Exit codes: 0 ok, 1 check failed, 2 parse error (including invalid
+flags and non-finite scenario values), 3 numeric/solver error, 4 singular
+state matrix in backward mode, 5 unsupported dimension.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid
 from .errors import EllipsumError, SingularMap
-from .mvoe import METHODS, SolverOptions, mvoe_pair, mvoe_sum
+from .mvoe import METHODS, SolverOptions, mvoe_sum, q_of_beta
 from .oracles import containment_check, pair_step_checks
 from .reach import DEFAULT_EPS, LtiStage, propagate_backward, propagate_forward
 
@@ -45,11 +46,18 @@ def _fail(message: str, code: int) -> int:
 
 
 def _write_text_atomic(path: str, text: str):
+    """Write ``text`` to a temp file beside ``path`` and rename it over
+    ``path``; on any failure the temp file is removed and the error re-raised."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_json_atomic(path: str, payload: dict, code: int) -> int:
@@ -334,24 +342,24 @@ def cmd_check(args) -> int:
     parts = problem["ellipsoids"]
     claim = problem["claim"]
 
-    # each step is (Q1, Q2, beta, log_volume) for pair_step_checks
     if claim is not None:
         outer = claim["ellipsoid"]
-        steps = [] if claim["beta"] is None else [(parts[0].shape, parts[1].shape, claim["beta"], outer.log_volume())]
+        betas = [] if claim["beta"] is None else [claim["beta"]]
     else:
-        def fold():
-            acc, steps = parts[0], []
-            for nxt in parts[1:]:
-                result = mvoe_pair(acc, nxt, opts)
-                steps.append((acc.shape, nxt.shape, result.beta, result.ellipsoid.log_volume()))
-                acc = result.ellipsoid
-            return acc, steps
-
-        outer, steps = _timed(args, "check", fold)
+        result, betas = _timed(args, "check", lambda: mvoe_sum(parts, opts))
+        outer = result.ellipsoid
 
     reports = [containment_check(outer, parts, n_dirs=args.directions, seed=args.seed)]
-    for step in steps:
-        reports.extend(pair_step_checks(*step))
+    acc = parts[0]
+    for k, (nxt, beta) in enumerate(zip(parts[1:], betas), start=1):
+        # an earlier step's outer ellipsoid is re-formed from its beta as the
+        # fold assembles it, so its shape and factor are the fold's own
+        if k < len(betas):
+            step = Ellipsoid(acc.center + nxt.center, q_of_beta(acc.shape, nxt.shape, beta))
+        else:
+            step = outer
+        reports.extend(pair_step_checks(acc.shape, nxt.shape, beta, step.log_volume()))
+        acc = step
 
     all_passed = all(r.passed for r in reports)
     payload = {

@@ -171,7 +171,7 @@ def _gram(n: np.ndarray) -> np.ndarray:
     transpose as a SYRK and mirrors one triangle, with the same bits as the
     ``@`` operator and, at d = 6, about a third less call overhead. N
     arrives as a temporary, so it is freed before the caller factors the
-    result; held through the Cholesky in ``_image_parts``, a d = 200 N cost
+    result; held through the Cholesky in ``affine_image``, a d = 200 N cost
     about 270 minor page faults per call on a 2-CPU Linux VM, and none when
     freed first."""
     return np.dot(n, n.T)
@@ -189,37 +189,27 @@ def _factored(shape: np.ndarray) -> np.ndarray:
         raise
 
 
-def _image_parts(parts, matrix: np.ndarray):
-    """Parts of E(F q, F Q F') from the parts of E(q, Q).
-
-    F Q F' is formed as the Gram matrix of F L, L the factor of Q, which is
-    exactly symmetric, and factored once; it is not validated further. An
-    image that is not positive definite raises SingularMap; an overflowed
-    center is left for ``Ellipsoid._trusted`` to catch. Runs inside the
-    caller's np.errstate(all="ignore").
-    """
-    center, _, factor = parts
-    shape = _gram(matrix @ factor)
-    try:
-        lower = _factored(shape)
-    except NotPositiveDefinite as exc:
-        raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
-    return matrix @ center, shape, lower
-
-
 def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
     """Image of an ellipsoid under x -> F x: E(Fq, F Q F'), factored once.
 
-    Raises ValueError for a non-finite F, SingularMap when F Q F' is not
-    positive definite and EllipsumError when the image overflows.
+    F Q F' is formed as the Gram matrix of F L, L the factor of Q, which is
+    exactly symmetric, and it is not validated further. Raises ValueError
+    for a non-finite F, SingularMap when F Q F' is not positive definite
+    and EllipsumError when the image overflows.
     """
     f = np.asarray(matrix, dtype=float)
     if f.ndim != 2 or f.shape[1] != ell.dim:
         raise DimensionMismatch(f"map shape {f.shape} incompatible with dim {ell.dim}")
     if not np.isfinite(f).all():
         raise ValueError("map has non-finite entries")
+    center, _, factor = ell._parts
     with np.errstate(all="ignore"):
-        parts = _image_parts(ell._parts, f)
+        shape = _gram(f @ factor)
+        try:
+            lower = _factored(shape)
+        except NotPositiveDefinite as exc:
+            raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
+        parts = (f @ center, shape, lower)
     return Ellipsoid._trusted(parts)
 
 

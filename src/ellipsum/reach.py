@@ -20,10 +20,12 @@ L and a factor of M^{-1} Q_in M^{-T} for the stage's input image Q_in, so
 the mapped state is never factored; and it factors only its output. Only
 the tube entries become ``Ellipsoid``s, through ``Ellipsoid._trusted``,
 which rejects a center that overflowed. ``F`` and ``G`` are validated once
-per stage. The input images are computed ellipsoids like the step outputs,
-and each stage keeps, per direction and eps, its input image and that
-pulled-back factor: F^{-1} L_in from one solve forward, F L_in backward. So
-both directions need an invertible F. A tube is a tuple of ellipsoids.
+per stage. The input images are computed ellipsoids like the step outputs.
+Each stage keeps one chain step per direction and eps: its map, its input
+image and that pulled-back factor, F^{-1} L_in from one solve forward and
+F L_in backward. So both directions need an invertible F. A tube is a tuple
+of ellipsoids; one step is the tube over one stage,
+``propagate_forward(x, [stage])[1]``.
 """
 
 from __future__ import annotations
@@ -89,35 +91,28 @@ class LtiStage:
             self._derived["inverse"] = _freeze(_inverse_or_raise(self.F))
         return self._derived["inverse"]
 
-    def _input_image(self, eps: float, backward: bool):
-        """Parts of the lifted image of the input set under M = G, or
-        M = -F^{-1} G backward. The image shape is the Gram matrix N N' of
-        N = M L_U, L_U the input set's factor, which is exactly symmetric; it
-        is lifted and factored once. An eps that is negative or not finite
-        raises ValueError and an overflowed shape EllipsumError. Runs inside
-        the tube's np.errstate(all="ignore")."""
+    def _chain_step(self, eps: float, backward: bool):
+        """This stage's step of ``mvoe._chain``: (M, the input image's center
+        and shape, M^{-1} L_in), M = F forward and F^{-1} backward. The input
+        image is that of the input set under N = G, or N = -F^{-1} G
+        backward; its shape is the Gram matrix of N L_U, L_U the input set's
+        factor, which is exactly symmetric, and it is lifted and factored
+        once into L_in. Forward, M^{-1} L_in is one solve with F, which
+        raises SingularMap for a singular F; backward it is the product
+        F L_in. Kept per direction and eps. An eps that is negative or not
+        finite raises ValueError and an overflowed shape EllipsumError. Runs
+        inside the tube's np.errstate(all="ignore")."""
         key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
-            center, _, lower = self.input_set._parts
-            shape = _lift(_gram(mapping @ lower), eps)
-            self._derived[key] = (mapping @ center, shape, _factored(shape))
-        return self._derived[key]
-
-    def _chain_step(self, eps: float, backward: bool):
-        """This stage's step of ``mvoe._chain``: (M, the input image's center
-        and shape, M^{-1} L_in), M = F forward and F^{-1} backward, L_in the
-        input image's factor. Forward, M^{-1} L_in is one solve with F,
-        which raises SingularMap for a singular F; backward it is the
-        product F L_in. Kept per direction and eps, like the input image."""
-        key = ("step", backward, eps)
-        if key not in self._derived:
-            center, shape, lower = self._input_image(eps, backward)
+            center, _, factor = self.input_set._parts
+            shape = _lift(_gram(mapping @ factor), eps)
+            lower = _factored(shape)
             if backward:
-                step = (self.inverse(), center, shape, self.F @ lower)
+                m, pulled = self.inverse(), self.F @ lower
             else:
-                step = (self.F, center, shape, _solve_or_raise(self.F, lower))
-            self._derived[key] = step
+                m, pulled = self.F, _solve_or_raise(self.F, lower)
+            self._derived[key] = (m, mapping @ center, shape, pulled)
         return self._derived[key]
 
 
@@ -143,27 +138,6 @@ def _solve_or_raise(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def step_forward(
-    state: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
-) -> Ellipsoid:
-    """One forward step: outer ellipsoid of F.state (+) G.input_set.
-
-    A singular F raises SingularMap, an overflow EllipsumError.
-    """
-    return _propagate(state, (stage,), False, eps, opts)[1]
-
-
-def step_backward(
-    terminal: Ellipsoid, stage: LtiStage, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
-) -> Ellipsoid:
-    """One backward step: outer ellipsoid of F^{-1}.terminal (+) (-F^{-1}G).input_set.
-
-    Requires a well-conditioned F: cond_2(F) above eps^{-1/2}, read from
-    F's singular values once per stage, raises SingularMap.
-    """
-    return _propagate(terminal, (stage,), True, eps, opts)[1]
-
-
 def _propagate(
     x: Ellipsoid, stages, backward: bool, eps: float, opts: SolverOptions | None
 ) -> tuple[Ellipsoid, ...]:
@@ -183,9 +157,11 @@ def _propagate(
 def propagate_forward(
     x0: Ellipsoid, stages, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
 ) -> tuple[Ellipsoid, ...]:
-    """Iterate ``step_forward`` from the initial set over all stages.
+    """Forward tube from the initial set: entry k + 1 is the outer
+    ellipsoid of F X_k (+) G U_k for stage k = (F, G, U_k).
 
-    Returns a tuple of len(stages) + 1 ellipsoids whose first entry is ``x0``.
+    Returns a tuple of len(stages) + 1 ellipsoids whose first entry is
+    ``x0``. A singular F raises SingularMap, an overflow EllipsumError.
     """
     return _propagate(x0, stages, False, eps, opts)
 
@@ -193,7 +169,10 @@ def propagate_forward(
 def propagate_backward(
     x1: Ellipsoid, stages, eps: float = DEFAULT_EPS, opts: SolverOptions | None = None
 ) -> tuple[Ellipsoid, ...]:
-    """Iterate ``step_backward`` from the terminal set, walking the stages in
-    reverse. Returns a tuple whose entry 0 is the terminal set; increasing
-    indices move backward in time."""
+    """Backward tube from the terminal set, walking the stages in reverse:
+    each entry is the outer ellipsoid of F^{-1} X (+) (-F^{-1} G) U of the
+    one before. Returns a tuple whose entry 0 is the terminal set;
+    increasing indices move backward in time. Requires a well-conditioned
+    F: cond_2(F) above eps_machine^{-1/2}, read from F's singular values
+    once per stage, raises SingularMap."""
     return _propagate(x1, reversed(list(stages)), True, eps, opts)

@@ -40,3 +40,8 @@ def tall_stage(rng: np.random.Generator, n: int, m: int, low: float, high: float
         G=rng.normal(size=(n, m)) / np.sqrt(n),
         input_set=random_ellipsoid(rng, m),
     )
+
+
+def one_step(propagate, x: Ellipsoid, stage: LtiStage, **kw) -> Ellipsoid:
+    """One reach step: the entry after ``x`` of ``propagate``'s tube over ``stage``."""
+    return propagate(x, [stage], **kw)[1]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ellipsoid
-from ellipsum import Ellipsoid, mvoe_pair
+from ellipsum import Ellipsoid, mvoe_pair, mvoe_sum
 from ellipsum.cli import _parse_options, build_parser, main
 from ellipsum.mvoe import METHODS, SolverOptions
 
@@ -187,6 +187,14 @@ class TestSum:
         expected = 10.0 * math.log(math.pi) - math.lgamma(11.0) + 10.0 * math.log(4e40)
         assert abs(result["log_volume"] - expected) <= 1e-12 * expected
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the result path is a directory, so the rename fails
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        (tmp_path / "r.json").mkdir()
+        assert main(["sum", inp, str(tmp_path / "r.json")]) == 3
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["p.json", "r.json"]
+
 
 class TestReach:
     def test_documented_scalar_tube(self, tmp_path):
@@ -347,6 +355,14 @@ class TestBoundary:
         assert len(lines) == 9
         assert {line.split(",")[0] for line in lines[1:]} == {"0", "1"}
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        # the output path is a directory, so the rename fails
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 2, "ellipsoids": [disk_dict()]})
+        (tmp_path / "b.csv").mkdir()
+        assert main(["boundary", inp, str(tmp_path / "b.csv"), "--samples", "4"]) == 3
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["b.csv", "p.json"]
+
 
 class TestCheck:
     def test_solver_output_passes(self, tmp_path, capsys):
@@ -448,6 +464,36 @@ class TestCheck:
         assert main(["check", inp]) == 0
         assert len(json.loads(capsys.readouterr().out)["reports"]) == 1 + 3 * 3
         assert len(calls) == 6
+
+    def test_certifies_the_fold_that_sum_writes(self, tmp_path, capsys, monkeypatch):
+        # check folds with mvoe_sum, as sum does, and re-forms each earlier
+        # step from its beta: every certified beta and log-volume is the
+        # fold's own, bit for bit, where a fold of fresh pair solves differs
+        # in the last bits
+        from ellipsum import cli, mvoe
+
+        certified = []
+        certify = cli.pair_step_checks
+
+        def recording(q1, q2, beta, log_volume):
+            certified.append((beta, log_volume))
+            return certify(q1, q2, beta, log_volume)
+
+        monkeypatch.setattr(cli, "pair_step_checks", recording)
+        rng = np.random.default_rng(0)
+        parts = [random_ellipsoid(rng, 3).to_dict() for _ in range(4)]
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 3, "ellipsoids": parts})
+        assert main(["check", inp]) == 0
+        capsys.readouterr()
+        summands = [Ellipsoid.from_dict(part) for part in parts]
+        result, betas = mvoe_sum(summands)
+        assert [beta for beta, _ in certified] == betas
+        assert certified[-1][1] == result.ellipsoid.log_volume()
+        steps = [(None, *e._parts) for e in summands[1:]]
+        with np.errstate(all="ignore"):
+            chain = mvoe._chain(summands[0]._parts, steps, SolverOptions())
+            log_volumes = [Ellipsoid._trusted(step[0]).log_volume() for step in chain]
+        assert [log_volume for _, log_volume in certified] == log_volumes
 
     def test_extreme_claim_beta_fails_with_strict_json(self, tmp_path, capsys):
         # the closed forms at this beta leave the float range, so the two

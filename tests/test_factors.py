@@ -11,7 +11,7 @@ that builds an ellipsoid.
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix, tall_stage
+from conftest import one_step, random_ellipsoid, spd_matrix, tall_stage
 from ellipsum import (
     Ellipsoid,
     LtiStage,
@@ -21,8 +21,6 @@ from ellipsum import (
     mvoe_sum,
     propagate_backward,
     propagate_forward,
-    step_backward,
-    step_forward,
 )
 
 DIMS = [1, 2, 6, 40]  # 40 crosses the block size of the triangular solve
@@ -44,8 +42,8 @@ def routes(dim: int):
         "mvoe_pair": mvoe_pair(e1, e2).ellipsoid,
         "mvoe_pair_trace": mvoe_pair(e1, e2, SolverOptions(method="trace")).ellipsoid,
         "mvoe_sum": mvoe_sum([e1, e2, e3])[0].ellipsoid,
-        "step_forward": step_forward(e1, forward, eps=0.0),
-        "step_backward": step_backward(e1, backward, eps=0.0),
+        "step_forward": one_step(propagate_forward, e1, forward, eps=0.0),
+        "step_backward": one_step(propagate_backward, e1, backward, eps=0.0),
         "affine_image": affine_image(e1, frame * rng.uniform(0.1, 10.0, dim)),
     }
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix, support, tall_stage
+from conftest import one_step, random_ellipsoid, spd_matrix, support, tall_stage
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -12,8 +12,6 @@ from ellipsum import (
     mvoe_pair,
     propagate_backward,
     propagate_forward,
-    step_backward,
-    step_forward,
     unit_ball_volume,
 )
 from ellipsum.ellipsoid import _lift, affine_image
@@ -56,7 +54,7 @@ class TestStageValidation:
 class TestStepForward:
     def test_scalar_example_exact(self):
         # |F| r + |G| r_u = 0.5 * 1 + 1 * 1 = 1.5, shape (1.5)^2 = 2.25
-        out = step_forward(interval(1.0), scalar_stage(0.5, 1.0), eps=0.0)
+        out = one_step(propagate_forward, interval(1.0), scalar_stage(0.5, 1.0), eps=0.0)
         assert out.shape[0, 0] == 2.25
 
     def test_identity_with_eps_lift_only(self):
@@ -64,7 +62,7 @@ class TestStepForward:
         state = random_ellipsoid(rng, 2, log_lo=-0.5, log_hi=0.5)
         tiny = Ellipsoid(np.zeros(2), 1e-18 * np.eye(2))
         stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=tiny)
-        out = step_forward(state, stage, eps=1e-9)
+        out = one_step(propagate_forward, state, stage, eps=1e-9)
         assert np.allclose(out.center, state.center, atol=1e-12)
         for u in rng.normal(size=(50, 2)):
             assert support(out, u) >= support(state, u) - 1e-12
@@ -78,7 +76,7 @@ class TestStepForward:
             G=rng.normal(size=(3, 2)),
             input_set=random_ellipsoid(rng, 2),
         )
-        out = step_forward(state, stage, eps=1e-9)
+        out = one_step(propagate_forward, state, stage, eps=1e-9)
         mapped = affine_image(state, stage.F)
         driven = Ellipsoid(
             stage.G @ stage.input_set.center,
@@ -88,8 +86,9 @@ class TestStepForward:
         assert report.passed, report.details
 
     def test_dim_mismatch(self):
+        stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=random_ellipsoid(np.random.default_rng(0), 2))
         with pytest.raises(DimensionMismatch):
-            step_forward(interval(1.0), LtiStage(F=np.eye(2), G=np.eye(2), input_set=random_ellipsoid(np.random.default_rng(0), 2)))
+            one_step(propagate_forward, interval(1.0), stage)
 
 
 class TestPropagateForward:
@@ -147,7 +146,7 @@ class TestPropagateForward:
 class TestStepBackward:
     def test_scalar_example_exact(self):
         # F^{-1} = 2: 2 * 1.5 + 2 * 1 = 5, shape 25
-        out = step_backward(interval(1.5), scalar_stage(0.5, 1.0), eps=0.0)
+        out = one_step(propagate_backward, interval(1.5), scalar_stage(0.5, 1.0), eps=0.0)
         assert out.shape[0, 0] == 25.0
 
     def test_identity_with_degenerate_input(self):
@@ -155,14 +154,14 @@ class TestStepBackward:
         terminal = random_ellipsoid(rng, 2, log_lo=-0.5, log_hi=0.5)
         tiny = Ellipsoid(np.zeros(2), 1e-18 * np.eye(2))
         stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=tiny)
-        out = step_backward(terminal, stage, eps=1e-9)
+        out = one_step(propagate_backward, terminal, stage, eps=1e-9)
         for u in rng.normal(size=(50, 2)):
             assert support(out, u) >= support(terminal, u) - 1e-12
 
     def test_singular_f_rejected(self):
         stage = LtiStage(F=[[0.0]], G=[[1.0]], input_set=interval(1.0))
         with pytest.raises(SingularMap):
-            step_backward(interval(1.0), stage, eps=0.0)
+            one_step(propagate_backward, interval(1.0), stage, eps=0.0)
 
     def test_near_singular_f_rejected(self):
         # cond(F) = 1e200; the computed inverse is exact, with residual 0
@@ -170,7 +169,7 @@ class TestStepBackward:
             F=[[1.0, 0.0], [0.0, 1e-200]], G=np.eye(2), input_set=random_ellipsoid(np.random.default_rng(1), 2)
         )
         with pytest.raises(SingularMap):
-            step_backward(random_ellipsoid(np.random.default_rng(2), 2), stage, eps=0.0)
+            one_step(propagate_backward, random_ellipsoid(np.random.default_rng(2), 2), stage, eps=0.0)
 
     def test_ill_conditioned_f_with_small_residual_rejected(self):
         # cond(F) = 4e14: F'F factors and the computed F^{-1} has a residual
@@ -204,7 +203,7 @@ class TestStepBackward:
         # the backward tube from the forward endpoint must contain the start set
         stage = scalar_stage(0.5, 1.0)
         forward = propagate_forward(interval(1.0), [stage], eps=0.0)
-        back = step_backward(forward[-1], stage, eps=0.0)
+        back = one_step(propagate_backward, forward[-1], stage, eps=0.0)
         for u in ([1.0], [-1.0]):
             assert support(back, u) >= support(forward[0], u) - 1e-12
 
@@ -291,7 +290,7 @@ class TestSingularImage:
         # input image cannot be pulled back through it in double precision
         stage = LtiStage(F=1e-200 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), 1e300 * np.eye(2)))
         with pytest.raises(SingularMap, match=r"state matrix F is numerically singular"):
-            step_forward(Ellipsoid(np.zeros(2), np.eye(2)), stage, eps=0.0)
+            one_step(propagate_forward, Ellipsoid(np.zeros(2), np.eye(2)), stage, eps=0.0)
 
     def test_overflowing_tube_is_not_reported_singular(self):
         stage = LtiStage(F=1e100 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
@@ -311,13 +310,13 @@ class TestSingularImage:
         x0 = Ellipsoid([1e308, 0.0], np.eye(2))
         stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=x0)
         with pytest.raises(EllipsumError, match="center has non-finite entries"):
-            step_forward(x0, stage, eps=0.0)
+            one_step(propagate_forward, x0, stage, eps=0.0)
 
     def test_overflowing_backward_step_center_is_rejected(self):
         # F^{-1} x1 = 2e308 overflows in the map itself
         stage = LtiStage(F=0.5 * np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
         with pytest.raises(EllipsumError, match="center has non-finite entries"):
-            step_backward(Ellipsoid([1e308, 0.0], np.eye(2)), stage, eps=0.0)
+            one_step(propagate_backward, Ellipsoid([1e308, 0.0], np.eye(2)), stage, eps=0.0)
 
 
 def disk() -> Ellipsoid:
@@ -384,19 +383,19 @@ class TestLongTubes:
         betas = recording_chain(monkeypatch)
         if backward:
             tube = propagate_backward(x0, stages, eps=1e-9)
-            maps = [(s.inverse(), s._input_image(1e-9, True)) for s in reversed(stages)]
+            steps = [s._chain_step(1e-9, True) for s in reversed(stages)]
         else:
             tube = propagate_forward(x0, stages, eps=1e-9)
-            maps = [(s.F, s._input_image(1e-9, False)) for s in stages]
+            steps = [s._chain_step(1e-9, False) for s in stages]
         assert len(betas) == 1000
         worst_factor = worst_log_volume = worst_beta = 0.0
-        for k, (m, driven) in enumerate(maps):
+        for k, (m, center, shape, _) in enumerate(steps):
             prev, out = tube[k], tube[k + 1]
             s = out.factor
             worst_factor = max(worst_factor, np.linalg.norm(s @ s.T - out.shape) / np.linalg.norm(out.shape))
             expected = log_ball + 0.5 * np.linalg.slogdet(out.shape)[1]
             worst_log_volume = max(worst_log_volume, abs(out.log_volume() - expected) / max(1.0, abs(expected)))
-            reference = mvoe_pair(Ellipsoid(m @ prev.center, m @ prev.shape @ m.T), Ellipsoid._trusted(driven))
+            reference = mvoe_pair(Ellipsoid(m @ prev.center, m @ prev.shape @ m.T), Ellipsoid(center, shape))
             worst_beta = max(worst_beta, abs(betas[k] - reference.beta) / reference.beta)
         assert worst_factor <= 1e-10
         assert worst_log_volume <= 1e-10
@@ -440,12 +439,12 @@ class TestPullBack:
                 input_set=random_ellipsoid(rng, d, -0.5, 0.5),
             )
             x = random_ellipsoid(rng, d, -0.5, 0.5)
-            for step, m, n in (
-                (step_forward, stage.F, stage.G),
-                (step_backward, np.linalg.inv(stage.F), -np.linalg.inv(stage.F) @ stage.G),
+            for propagate, m, n in (
+                (propagate_forward, stage.F, stage.G),
+                (propagate_backward, np.linalg.inv(stage.F), -np.linalg.inv(stage.F) @ stage.G),
             ):
                 expected = self.reference_log_volume(m @ x.shape @ m.T, n @ stage.input_set.shape @ n.T)
-                got = step(x, stage, eps=0.0).log_volume()
+                got = one_step(propagate, x, stage, eps=0.0).log_volume()
                 worst = max(worst, abs(got - expected) / max(1.0, abs(expected)))
         assert worst <= 1e-10
 
@@ -472,9 +471,9 @@ class TestStepsDoNotValidate:
         monkeypatch.setattr(Ellipsoid, "__post_init__", counting_construct)
         monkeypatch.setattr(linalg, "symmetrize", counting_symmetrize)
         for stage in forward:
-            stage._input_image(1e-9, False)
+            stage._chain_step(1e-9, False)
         for stage in backward:
-            stage._input_image(1e-9, True)
+            stage._chain_step(1e-9, True)
         propagate_forward(x0, forward, eps=1e-9)
         propagate_backward(x0, backward, eps=1e-9)
         assert calls == {"construct": 0, "symmetrize": 0}

@@ -89,6 +89,24 @@ def test_one_chain_of_pair_steps():
     assert "reach.py" not in _modules_naming("_image_parts")
 
 
+def test_check_folds_as_sum_does():
+    # check certifies the fold that sum writes, so it runs mvoe_sum and has
+    # no pair loop of its own
+    assert "cli.py" not in _modules_naming("mvoe_pair")
+    assert "cli.py" in _modules_naming("mvoe_sum")
+
+
+def test_no_single_step_wrappers():
+    # affine_image maps and factors in its own body, and a reach step is the
+    # tube over one stage: neither has a wrapper beside the chain
+    import ellipsum
+
+    assert _modules_naming("_image_parts") == []
+    assert _modules_naming("_input_image") == []
+    for name in ("step_forward", "step_backward"):
+        assert not hasattr(ellipsum, name), name
+
+
 def test_linalg_exports_only_what_the_package_calls():
     # the kernels are private and run inside their caller's errstate; a
     # public function that no other module names is a wrapper kept for tests
