@@ -6,8 +6,9 @@ plotting) and ``check`` (run the verification oracles). Inputs are JSON
 problem files; each output file is written atomically (temp file + rename,
 the temp file removed on failure), so a failed write leaves no partial
 file. Exit codes: 0 ok, 1 check failed, 2 parse error (including invalid
-flags and non-finite scenario values), 3 numeric/solver error, 4 singular
-state matrix in backward mode, 5 unsupported dimension.
+flags and non-finite scenario values), 3 numeric/solver error or failed
+write, 4 singular state matrix (either mode), 5 unsupported dimension.
+Commands return 0 or 1 and raise otherwise; only ``main`` maps errors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from .ellipsoid import Ellipsoid
-from .errors import EllipsumError, SingularMap
+from .errors import EllipsumError, SingularMap, UnsupportedDimension
 from .mvoe import METHODS, SolverOptions, mvoe_sum, q_of_beta
 from .oracles import containment_check, pair_step_checks
 from .reach import DEFAULT_EPS, LtiStage, propagate_backward, propagate_forward
@@ -60,14 +61,14 @@ def _write_text_atomic(path: str, text: str):
         raise
 
 
-def _write_json_atomic(path: str, payload: dict, code: int) -> int:
-    """Write ``payload`` as strict JSON and return ``code``, or fail with
-    EXIT_NUMERIC; a non-finite float is an error, never NaN or Infinity."""
+def _write_json_atomic(path: str, payload: dict):
+    """Write ``payload`` as strict JSON: a non-finite float raises
+    EllipsumError, and is never written as NaN or Infinity."""
     try:
-        _write_text_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_NUMERIC)
-    return code
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise EllipsumError(f"result has a non-finite value: {exc}") from exc
+    _write_text_atomic(path, text + "\n")
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -131,7 +132,7 @@ def _parse_stage(obj, index: int, dim: int) -> LtiStage:
     input_set = _parse_ellipsoid(obj["input"], f"{where}.input")
     try:
         stage = LtiStage(F=np.asarray(obj["F"], dtype=float), G=np.asarray(obj["G"], dtype=float), input_set=input_set)
-    except (ValueError, EllipsumError) as exc:
+    except (ValueError, TypeError, EllipsumError) as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
     if stage.n != dim:
         raise ProblemFormatError(f"{where}: F is {stage.n}x{stage.n} but problem dimension is {dim}")
@@ -204,7 +205,6 @@ def load_problem(path: str) -> dict:
         raise ProblemFormatError("problem file needs at least one ellipsoid or a scenario")
 
     return {
-        "version": str(raw.get("version", "1")),
         "dimension": dim,
         "ellipsoids": ellipsoids,
         "options_raw": raw.get("options"),
@@ -260,7 +260,8 @@ def cmd_sum(args) -> int:
         if not report.passed:
             code = EXIT_CHECK_FAILED
 
-    return _write_json_atomic(args.output, payload, code)
+    _write_json_atomic(args.output, payload)
+    return code
 
 
 def cmd_reach(args) -> int:
@@ -271,14 +272,7 @@ def cmd_reach(args) -> int:
         raise ProblemFormatError("'reach' needs a scenario")
     mode = scenario["mode"]
     propagate = propagate_forward if mode == "forward" else propagate_backward
-    try:
-        tube = _timed(
-            args, "reach", lambda: propagate(scenario["anchor"], scenario["stages"], scenario["eps"], opts)
-        )
-    except SingularMap as exc:
-        if mode == "forward":
-            raise
-        return _fail(f"singular state matrix: {exc}", EXIT_SINGULAR)
+    tube = _timed(args, "reach", lambda: propagate(scenario["anchor"], scenario["stages"], scenario["eps"], opts))
 
     payload = {
         "version": "1",
@@ -290,7 +284,8 @@ def cmd_reach(args) -> int:
         "volumes": [_finite_or_none(e.volume()) for e in tube],
         "log_volumes": [e.log_volume() for e in tube],
     }
-    return _write_json_atomic(args.output, payload, EXIT_OK)
+    _write_json_atomic(args.output, payload)
+    return EXIT_OK
 
 
 def _boundary_rows(ell: Ellipsoid, samples: int) -> list[list[str]]:
@@ -303,13 +298,10 @@ def cmd_boundary(args) -> int:
     problem = load_problem(args.input)
     if not problem["ellipsoids"]:
         raise ProblemFormatError("'boundary' needs at least one ellipsoid")
-    dim = problem["dimension"]
-    if dim not in (2, 3):
-        return _fail(f"boundary sampling needs dimension 2 or 3, got {dim}", EXIT_UNSUPPORTED_DIM)
     if args.samples < 1:
         raise ProblemFormatError("--samples must be positive")
 
-    header = [f"x{i + 1}" for i in range(dim)]
+    header = [f"x{i + 1}" for i in range(problem["dimension"])]
     tables = [_boundary_rows(e, args.samples) for e in problem["ellipsoids"]]
 
     def render(rows, with_index):
@@ -318,18 +310,15 @@ def cmd_boundary(args) -> int:
         lines += [",".join(row) for row in rows]
         return "\n".join(lines) + "\n"
 
-    try:
-        if args.indexed:
-            rows = [[str(k)] + row for k, table in enumerate(tables) for row in table]
-            _write_text_atomic(args.output, render(rows, with_index=True))
-        elif len(tables) == 1:
-            _write_text_atomic(args.output, render(tables[0], with_index=False))
-        else:
-            root, ext = os.path.splitext(args.output)
-            for k, table in enumerate(tables):
-                _write_text_atomic(f"{root}_{k}{ext or '.csv'}", render(table, with_index=False))
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}", EXIT_NUMERIC)
+    if args.indexed:
+        rows = [[str(k)] + row for k, table in enumerate(tables) for row in table]
+        _write_text_atomic(args.output, render(rows, with_index=True))
+    elif len(tables) == 1:
+        _write_text_atomic(args.output, render(tables[0], with_index=False))
+    else:
+        root, ext = os.path.splitext(args.output)
+        for k, table in enumerate(tables):
+            _write_text_atomic(f"{root}_{k}{ext or '.csv'}", render(table, with_index=False))
     return EXIT_OK
 
 
@@ -435,13 +424,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code. Commands raise; this is
-    the one place that maps a parse error to 2 and an ``EllipsumError`` to 3."""
+    """Run one subcommand and return its exit code. A command returns 0, or
+    1 for a failed check, and raises otherwise; this is the one table from
+    error to code. A failed read is already a parse error, so an OSError is
+    a failed write. A bare ValueError is a bug and is not caught."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ProblemFormatError as exc:
         return _fail(str(exc), EXIT_PARSE)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_NUMERIC)
+    except SingularMap as exc:
+        return _fail(f"singular state matrix: {exc}", EXIT_SINGULAR)
+    except UnsupportedDimension as exc:
+        return _fail(str(exc), EXIT_UNSUPPORTED_DIM)
     except EllipsumError as exc:
         return _fail(f"solver error: {exc}", EXIT_NUMERIC)
 

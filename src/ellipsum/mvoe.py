@@ -153,7 +153,13 @@ def _positive_beta(beta) -> float:
 def q_of_beta(Q1, Q2, beta: float) -> np.ndarray:
     """Outer shape matrix (1 + 1/beta) Q1 + (1 + beta) Q2 for beta > 0."""
     a, b = _check_pair(Q1, Q2)
-    beta = _positive_beta(beta)
+    return _q_of_beta(a, b, _positive_beta(beta))
+
+
+def _q_of_beta(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
+    """Q(beta), unchecked: the one expression that ``q_of_beta`` and each
+    step of ``_chain`` evaluate, so a shape re-formed from a step's beta
+    is bit for bit the step's own."""
     return (1.0 + 1.0 / beta) * a + (1.0 + beta) * b
 
 
@@ -473,7 +479,7 @@ def _chain(parts, steps, opts: SolverOptions):
         else:  # "trace"
             beta, iterations = beta_trace_optimal(shape, shape2), 0
         center = center + center2
-        shape = (1.0 + 1.0 / beta) * shape + (1.0 + beta) * shape2  # q_of_beta, unchecked
+        shape = _q_of_beta(shape, shape2, beta)
         factor = _factored(shape)
         yield (center, shape, factor), beta, iterations, values
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _lift
-from .errors import DimensionMismatch, SingularMap
+from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import _DEFAULT_OPTIONS, SolverOptions, _chain
 
 #: default regularization for degenerate input images
@@ -100,14 +100,24 @@ class LtiStage:
         once into L_in. Forward, M^{-1} L_in is one solve with F, which
         raises SingularMap for a singular F; backward it is the product
         F L_in. Kept per direction and eps. An eps that is negative or not
-        finite raises ValueError and an overflowed shape EllipsumError. Runs
-        inside the tube's np.errstate(all="ignore")."""
+        finite raises ValueError, an overflowed shape EllipsumError and an
+        input image that is not positive definite, as with a tall G at
+        eps = 0, NotPositiveDefinite naming it and eps. Runs inside the
+        tube's np.errstate(all="ignore")."""
         key = (backward, eps)
         if key not in self._derived:
             mapping = -self.inverse() @ self.G if backward else self.G
             center, _, factor = self.input_set._parts
             shape = _lift(_gram(mapping @ factor), eps)
-            lower = _factored(shape)
+            try:
+                lower = _factored(shape)
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(
+                    exc.pivot,
+                    f"input image N U N' (N = {'-F^{-1} G' if backward else 'G'}) is not positive definite "
+                    f"(pivot {exc.pivot}) at eps = {eps!r}; an input map with fewer columns than rows "
+                    "needs eps > 0",
+                ) from exc
             if backward:
                 m, pulled = self.inverse(), self.F @ lower
             else:

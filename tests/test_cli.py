@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -229,15 +230,39 @@ class TestReach:
         inp = write_problem(tmp_path / "p.json", problem)
         assert main(["reach", inp, str(tmp_path / "r.json")]) == 4
 
-    def test_forward_singular_image_exits_3_without_output(self, tmp_path, capsys):
+    def test_forward_singular_f_exits_4_without_output(self, tmp_path, capsys):
         stage = {"F": [[1.0, 0.0], [1.0, 0.0]], "G": np.eye(2).tolist(), "input": disk_dict()}
         scenario = {"mode": "forward", "initial": disk_dict(), "stages": [stage]}
         inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 2, "scenario": scenario})
         out = tmp_path / "r.json"
-        assert main(["reach", inp, str(out)]) == 3
-        assert "state matrix F is singular" in capsys.readouterr().err
+        assert main(["reach", inp, str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "ellipsum: singular state matrix: state matrix F is singular: Singular matrix\n"
+        )
         assert not out.exists()
         assert os.listdir(tmp_path) == ["p.json"]
+
+    @pytest.mark.parametrize("key", ["F", "G"])
+    def test_stage_map_that_is_an_object_exits_2(self, tmp_path, capsys, key):
+        problem = scalar_reach_problem(steps=1)
+        problem["scenario"]["stages"][0][key] = {"a": 1}
+        inp = write_problem(tmp_path / "p.json", problem)
+        assert main(["reach", inp, str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ellipsum: scenario.stages[0]: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["forward", "backward"])
+    def test_rank_deficient_input_image_names_eps(self, tmp_path, capsys, mode):
+        # a tall G with eps = 0 leaves the input image singular
+        stage = {"F": (0.5 * np.eye(2)).tolist(), "G": [[1.0], [0.0]], "input": {"center": [0.0], "shape": [[1.0]]}}
+        scenario = {"mode": mode, "stages": [stage], "eps": 0.0}
+        scenario["initial" if mode == "forward" else "terminal"] = disk_dict()
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 2, "scenario": scenario})
+        assert main(["reach", inp, str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ellipsum: solver error: input image N U N' ")
+        assert "(pivot 1) at eps = 0.0" in err and "fewer columns than rows needs eps > 0" in err
 
     @pytest.mark.parametrize(
         "mode, key, value",
@@ -696,3 +721,143 @@ def test_method_choices_are_the_solver_methods(command):
 def test_unset_options_are_the_solver_defaults():
     flags = argparse.Namespace(method=None, tol=None, max_iter=None)
     assert _parse_options(None, flags) == SolverOptions()
+
+
+def run_command(command, inp, tmp_path, *flags):
+    """main() on ``inp``, with an output path for the commands that write one."""
+    outputs = [] if command == "check" else [str(tmp_path / ("b.csv" if command == "boundary" else "r.json"))]
+    return main([command, inp, *outputs, *flags])
+
+
+def scenario_with(**changes):
+    """The scalar forward scenario problem with keys of its scenario replaced
+    (a value of None deletes the key)."""
+    problem = scalar_reach_problem(steps=1)
+    for key, value in changes.items():
+        if value is None:
+            del problem["scenario"][key]
+        else:
+            problem["scenario"][key] = value
+    return problem
+
+
+def stage_without(key):
+    stage = dict(scalar_reach_problem(steps=1)["scenario"]["stages"][0])
+    del stage[key]
+    return stage
+
+
+PLANAR_STAGE = {"F": np.eye(2).tolist(), "G": [[1.0], [0.0]], "input": {"center": [0.0], "shape": [[1.0]]}}
+
+
+SCHEMA_ERRORS = {
+    "options-not-object": ("sum", {**two_disk_problem(), "options": [1]}, [], "'options' must be an object"),
+    "eps-beyond-float-range": ("reach", scenario_with(eps=10**400), [], "scenario.eps must be a nonnegative"),
+    "stage-not-object": ("reach", scenario_with(stages=[1]), [], "scenario.stages[0] must be an object"),
+    "stage-missing-input": ("reach", scenario_with(stages=[stage_without("input")]), [], "is missing 'input'"),
+    "stage-dimension": ("reach", scenario_with(stages=[PLANAR_STAGE]), [], "F is 2x2 but problem dimension is 1"),
+    "problem-not-object": ("sum", [two_disk_problem()], [], "problem file must be a JSON object"),
+    "dimension-missing": ("sum", {"ellipsoids": [disk_dict()]}, [], "missing 'dimension'"),
+    "dimension-zero": ("sum", {**two_disk_problem(), "dimension": 0}, [], "'dimension' must be at least 1"),
+    "ellipsoids-not-list": ("sum", {"dimension": 2, "ellipsoids": disk_dict()}, [], "'ellipsoids' must be a list"),
+    "scenario-not-object": ("reach", {"dimension": 1, "scenario": [1]}, [], "'scenario' must be an object"),
+    "scenario-mode": ("reach", scenario_with(mode="sideways"), [], "scenario.mode must be"),
+    "scenario-anchor": ("reach", scenario_with(initial=None), [], "missing 'initial' for forward mode"),
+    "stages-not-list": ("reach", scenario_with(stages={}), [], "scenario.stages must be a list"),
+    "claim-without-ellipsoid": ("check", {**two_disk_problem(), "claim": {"beta": 1.0}}, [], "'claim' must be"),
+    "nothing-to-solve": ("sum", {"dimension": 2}, [], "needs at least one ellipsoid or a scenario"),
+    "sum-without-ellipsoids": ("sum", scalar_reach_problem(), [], "'sum' needs at least one ellipsoid"),
+    "boundary-without-ellipsoids": ("boundary", scalar_reach_problem(), [], "'boundary' needs at least one"),
+    "check-without-ellipsoids": ("check", scalar_reach_problem(), [], "'check' needs at least one ellipsoid"),
+    "no-samples": ("boundary", two_disk_problem(), ["--samples", "0"], "--samples must be positive"),
+    # --samples is checked before the dimension, which sampling checks
+    "no-samples-in-1-d": ("boundary", typed_number_problem(dimension=1, dim=1), ["--samples", "0"], "--samples"),
+}
+
+
+@pytest.mark.parametrize("command, problem, flags, field", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS)
+def test_schema_error_exits_2_naming_the_field(tmp_path, capsys, command, problem, flags, field):
+    inp = write_problem(tmp_path / "p.json", problem)
+    assert run_command(command, inp, tmp_path, *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ellipsum: ") and field in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["p.json"]
+
+
+class TestExitCodes:
+    """One test per row of the README's exit-code table, run through main."""
+
+    def test_0_success(self, tmp_path, capsys):
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        assert main(["sum", inp, str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_1_check_failed(self, tmp_path, monkeypatch):
+        # sum --check on an answer shrunk below the true sum: the report
+        # fails, and the result is still written with it
+        from ellipsum import cli
+
+        def shrunk_sum(ellipsoids, opts):
+            result, betas = mvoe_sum(ellipsoids, opts)
+            small = Ellipsoid(result.ellipsoid.center, 0.9 * result.ellipsoid.shape)
+            return dataclasses.replace(result, ellipsoid=small, volume=small.volume()), betas
+
+        monkeypatch.setattr(cli, "mvoe_sum", shrunk_sum)
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        out = str(tmp_path / "r.json")
+        assert main(["sum", inp, out, "--check"]) == 1
+        assert read_strict_json(out)["checks"][0]["passed"] is False
+
+    def test_2_parse_error(self, tmp_path, capsys):
+        inp = write_problem(tmp_path / "p.json", {"ellipsoids": [disk_dict()]})
+        assert main(["sum", inp, str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "ellipsum: problem file is missing 'dimension'\n"
+
+    def test_3_solver_error(self, tmp_path, capsys):
+        inp = write_problem(tmp_path / "p.json", overflow_sum_problem())
+        assert main(["sum", inp, str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == "ellipsum: solver error: shape matrix has non-finite entries (overflow)\n"
+
+    def test_3_nonfinite_result_is_not_written(self, tmp_path, capsys, monkeypatch):
+        # strict JSON refuses NaN: a typed error, exit 3, and no file
+        from ellipsum import cli
+
+        def nan_residual_sum(ellipsoids, opts):
+            result, betas = mvoe_sum(ellipsoids, opts)
+            return dataclasses.replace(result, residual=math.nan), betas
+
+        monkeypatch.setattr(cli, "mvoe_sum", nan_residual_sum)
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        assert main(["sum", inp, str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith("ellipsum: solver error: result has a non-finite value: ")
+        assert os.listdir(tmp_path) == ["p.json"]
+
+    @pytest.mark.parametrize("mode", ["forward", "backward"])
+    def test_4_singular_state_matrix(self, tmp_path, capsys, mode):
+        stage = {"F": [[1.0, 0.0], [1.0, 0.0]], "G": np.eye(2).tolist(), "input": disk_dict()}
+        scenario = {"mode": mode, "stages": [stage]}
+        scenario["initial" if mode == "forward" else "terminal"] = disk_dict()
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 2, "scenario": scenario})
+        assert main(["reach", inp, str(tmp_path / "r.json")]) == 4
+        assert capsys.readouterr().err.startswith("ellipsum: singular state matrix: ")
+        assert os.listdir(tmp_path) == ["p.json"]
+
+    def test_5_unsupported_dimension(self, tmp_path, capsys):
+        problem = {"version": "1", "dimension": 1, "ellipsoids": [{"center": [0.0], "shape": [[1.0]]}]}
+        inp = write_problem(tmp_path / "p.json", problem)
+        assert main(["boundary", inp, str(tmp_path / "b.csv")]) == 5
+        assert capsys.readouterr().err == "ellipsum: boundary sampling needs dim 2 or 3, got 1\n"
+
+    def test_bare_value_error_is_not_an_exit_code(self, tmp_path, monkeypatch):
+        # a ValueError that no parser turned into a typed error is a bug
+        from ellipsum import cli
+
+        def broken(ellipsoids, opts):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "mvoe_sum", broken)
+        inp = write_problem(tmp_path / "p.json", two_disk_problem())
+        with pytest.raises(ValueError, match="bug"):
+            main(["sum", inp, str(tmp_path / "r.json")])

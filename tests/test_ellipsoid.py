@@ -128,6 +128,11 @@ class TestAffineImage:
         with pytest.raises(EllipsumError, match="center has non-finite entries"):
             affine_image(Ellipsoid([1e200, 0.0], np.eye(2)), 1e110 * np.eye(2))
 
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.ones(2), np.ones((2, 2, 2))], ids=["columns", "1-d", "3-d"])
+    def test_dimension_mismatch_rejected(self, matrix):
+        with pytest.raises(DimensionMismatch, match="incompatible with dim 2"):
+            affine_image(unit_disk(), matrix)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_map_rejected(self, bad):
         with pytest.raises(ValueError, match="map has non-finite entries"):
@@ -212,6 +217,10 @@ class TestBoundaryPoints:
             e = Ellipsoid(np.zeros(dim), np.eye(dim))
             with pytest.raises(UnsupportedDimension):
                 e.boundary_points(4)
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            unit_disk().boundary_points(0)
 
 
 class TestJsonShape:

@@ -96,6 +96,10 @@ class TestParameterizations:
         out = q_of_direction([np.eye(2), np.eye(2)], [1.0, 0.0])
         assert np.allclose(out, 4.0 * np.eye(2), atol=0)
 
+    def test_q_of_direction_rejects_no_shapes(self):
+        with pytest.raises(EmptyInput):
+            q_of_direction([], [1.0, 0.0])
+
     def test_q_of_direction_touching_identity(self):
         rng = np.random.default_rng(60)
         for _ in range(20):

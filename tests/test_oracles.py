@@ -115,6 +115,11 @@ class TestContainment:
         assert not report.passed
         assert report.worst_violation > 0.0
 
+    def test_rejects_no_directions(self):
+        disk = Ellipsoid(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="n_dirs must be at least 1"):
+            containment_check(disk, [disk], n_dirs=0)
+
     def test_dimension_mismatch_is_named_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("directions sampled")

@@ -7,6 +7,7 @@ from ellipsum import (
     Ellipsoid,
     EllipsumError,
     LtiStage,
+    NotPositiveDefinite,
     SingularMap,
     containment_check,
     mvoe_pair,
@@ -341,6 +342,20 @@ class TestInputImages:
         with pytest.raises(EllipsumError, match=r"non-finite entries \(overflow\)") as info:
             propagate(start, [stage], eps=1e-9)
         assert not isinstance(info.value, SingularMap)
+
+    @pytest.mark.parametrize(
+        "propagate, mapping", [(propagate_forward, "(N = G)"), (propagate_backward, "(N = -F^{-1} G)")]
+    )
+    def test_rank_deficient_image_names_itself_and_eps(self, propagate, mapping):
+        # a tall G at eps = 0 leaves the input image singular; the error
+        # names the image and eps, not only a Cholesky pivot
+        stage = LtiStage(F=0.5 * np.eye(2), G=[[1.0], [0.0]], input_set=interval(1.0))
+        with pytest.raises(NotPositiveDefinite) as info:
+            propagate(disk(), [stage], eps=0.0)
+        message = str(info.value)
+        assert info.value.pivot == 1
+        assert message.startswith(f"input image N U N' {mapping} is not positive definite (pivot 1)")
+        assert "at eps = 0.0" in message and "needs eps > 0" in message
 
     @pytest.mark.parametrize("propagate", [propagate_forward, propagate_backward])
     @pytest.mark.parametrize("eps", [np.nan, -1e-3, np.inf])

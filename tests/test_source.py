@@ -137,3 +137,25 @@ def test_check_does_not_import_numpy_random(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True, env=env, check=True)
     assert out.stderr == "(0, False)"
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    # a command parses, solves, writes and returns 0 or 1; main alone turns
+    # an error into its message and exit code
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    mapping = {"_fail", "EXIT_PARSE", "EXIT_NUMERIC", "EXIT_SINGULAR", "EXIT_UNSUPPORTED_DIM"}
+    users = [
+        getattr(statement, "name", type(statement).__name__)
+        for statement in tree.body
+        if mapping & {n.id for n in ast.walk(statement) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    ]
+    assert users == ["main"]
+
+
+def test_one_expression_for_q_of_beta():
+    # check re-forms a fold's earlier steps with q_of_beta; it and the chain
+    # evaluate one helper, so a re-formed shape is the fold's own bit for bit
+    tree = ast.parse((SOURCE / "mvoe.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    callers = [function.name for function in functions if "_q_of_beta" in set(_names(function))]
+    assert sorted(callers) == ["_chain", "q_of_beta"]
