@@ -6,7 +6,7 @@ discrete-time reach-tube propagation built on the pairwise step, and
 brute-force verification oracles.
 """
 
-from .ellipsoid import Ellipsoid, affine_image, unit_ball_volume, unit_direction
+from .ellipsoid import Ellipsoid, affine_image, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -89,6 +89,5 @@ __all__ = [
     "solve_beta_bisection",
     "solve_beta_fixed_point",
     "stationarity_check",
-    "unit_ball_volume",
     "unit_direction",
 ]

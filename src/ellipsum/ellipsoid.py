@@ -17,11 +17,6 @@ from . import linalg
 from .errors import DimensionMismatch, EllipsumError, NotPositiveDefinite, SingularMap, UnsupportedDimension
 
 
-def unit_ball_volume(dim: int) -> float:
-    """Volume of the Euclidean unit ball in ``dim`` dimensions."""
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-
-
 def _log_unit_ball_volume(dim: int) -> float:
     return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
 

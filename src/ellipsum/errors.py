@@ -48,7 +48,7 @@ class DimensionMismatch(EllipsumError):
     """Operands have incompatible dimensions."""
 
 
-class DimensionNotTwo(DimensionMismatch):
+class DimensionNotTwo(DimensionMismatch, UnsupportedDimension):
     """The bracketed bisection solver only handles two-dimensional spectra."""
 
 

@@ -1,15 +1,19 @@
 """Input symmetrization and the package's LAPACK kernels: a Cholesky
-factor, a blocked lower-triangular solve and symmetric eigenvalues.
+factor, a blocked lower-triangular solve, symmetric eigenvalues, an LU
+solve and singular values.
 
 The kernels call the gufuncs that ``np.linalg`` itself wraps, from
-``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv`` and
-``eigvalsh_lo``, each with signature "d->d". That skips the wrappers' array
-wrapping, type resolution and per-call ``np.errstate``, which at d = 2 cost
-several times the LAPACK call. A gufunc that fails fills its output with NaN
-and raises the floating-point invalid flag. The kernels check their output
-and turn that NaN into the package's typed errors. The flag is silenced by
-one ``np.errstate(all="ignore")`` per unit of work, held by the caller:
-``mvoe_pair``, a fold of ``mvoe_sum``, a reach tube, ``affine_image`` and
+``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``, ``eigvalsh_lo``
+and ``svd``, each with signature "d->d", and ``solve``, "dd->d". That skips
+the wrappers' array wrapping, type resolution and per-call ``np.errstate``,
+which at d = 2 cost several times the LAPACK call. A gufunc that fails fills
+its output with NaN and raises the floating-point invalid flag. Each output
+is checked and that NaN turned into the package's typed errors: by
+``_cholesky`` and ``_sym_eigvals`` themselves, by the caller of the others.
+The pair step calls the first three; reach's stage derivation calls the LU
+solve and the singular values. The flag is silenced by one
+``np.errstate(all="ignore")`` per unit of work, held by the caller:
+``mvoe_sum``, a reach tube, ``LtiStage.inverse``, ``affine_image`` and
 ``Ellipsoid`` construction each call the kernels inside their own single
 errstate. So no call leaks a ``RuntimeWarning``, and the caller's
 ``np.geterr()`` is restored on return and on raise. The kernels are
@@ -137,3 +141,18 @@ def _sym_eigvals(m: np.ndarray) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise NoConvergence("symmetric eigensolver failed or met non-finite values")
     return values
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with A X = B, for a square float64 A and a B of as many rows, by
+    LAPACK's LU solve with partial pivoting. A singular A fills X with NaN;
+    an X that overflowed has other non-finite entries. Neither raises: the
+    caller checks X."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _singular_values(a: np.ndarray) -> list[float]:
+    """Singular values of a float64 matrix, descending, as Python floats,
+    without singular vectors. A LAPACK failure makes them NaN, which the
+    caller's comparisons reject."""
+    return _umath_linalg.svd(a, signature="d->d").tolist()

@@ -442,7 +442,7 @@ def _chain(parts, steps, opts: SolverOptions):
 
     A step is (m, center2, shape2, pulled). With m None it sums the carried
     set E(c, Q = L L') with E(center2, shape2), and ``pulled`` is shape2's
-    lower factor: ``mvoe_pair`` is one such step, a fold K - 1. With a map
+    lower factor: a fold of K summands is K - 1 such steps. With a map
     m it first carries the set to E(m c, m Q m'), the shape formed as the
     Gram matrix of m L and never factored, and ``pulled`` is a factor of
     m^{-1} shape2 m^{-T}: (m Q m')^{-1} shape2 and Q^{-1} m^{-1} shape2
@@ -453,10 +453,10 @@ def _chain(parts, steps, opts: SolverOptions):
     ``METHODS``; Newton starts from the previous step's beta.
 
     Runs inside the caller's np.errstate(all="ignore"), entered once per
-    ``mvoe_pair``, per fold of ``mvoe_sum`` and per tube, so a LAPACK
-    failure or an overflow surfaces only as the typed error its check
-    raises. A mapped shape that overflowed makes the spectrum fail; that
-    raises the same EllipsumError as an overflowed Q(beta).
+    fold of ``mvoe_sum`` and per tube, so a LAPACK failure or an overflow
+    surfaces only as the typed error its check raises. A mapped shape that
+    overflowed makes the spectrum fail; that raises the same EllipsumError
+    as an overflowed Q(beta).
     """
     center, shape, factor = parts
     beta = None
@@ -511,14 +511,12 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     bisection (d = 2 only), the fixed-point iteration warm-started at the
     trace-optimal parameter, or the trace closed form itself (cheap,
     suboptimal in volume, still a guaranteed outer bound).
-    The output is SPD by construction and is not validated again.
+    The output is SPD by construction and is not validated again. It is
+    the one-step fold ``mvoe_sum((e1, e2), opts)[0]``.
     """
-    opts = opts or _DEFAULT_OPTIONS
     if e1.dim != e2.dim:
         raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
-    with np.errstate(all="ignore"):
-        parts, beta, iterations, values = next(_chain(e1._parts, ((None, *e2._parts),), opts))
-    return _result(Ellipsoid._trusted(parts), beta, iterations, values, opts)
+    return mvoe_sum((e1, e2), opts)[0]
 
 
 def mvoe_sum(ellipsoids, opts: SolverOptions | None = None) -> tuple[MvoeResult, list[float]]:

@@ -12,19 +12,15 @@ G Q G' + eps max(tr(G Q G')/n, 1) I, the package's one lift, reached only
 through ``eps``; pass eps = 0 for well-posed inputs to keep steps exact.
 
 A tube, of either direction, is one chain of mapped pair steps
-(``mvoe._chain``) under one np.errstate. Each step maps the state's parts
-through M = F forward or the stage's F^{-1} backward, the shape as the
-Gram matrix of M L with Q = L L', which is exactly symmetric; it takes the
-spectrum in the pre-image coordinates of M, against the state's own factor
-L and a factor of M^{-1} Q_in M^{-T} for the stage's input image Q_in, so
-the mapped state is never factored; and it factors only its output. Only
-the tube entries become ``Ellipsoid``s, through ``Ellipsoid._trusted``,
-which rejects a center that overflowed. ``F`` and ``G`` are validated once
-per stage. The input images are computed ellipsoids like the step outputs.
-Each stage keeps one chain step per direction and eps: its map, its input
-image and that pulled-back factor, F^{-1} L_in from one solve forward and
-F L_in backward. So both directions need an invertible F. A tube is a tuple
-of ellipsoids; one step is the tube over one stage,
+(``mvoe._chain``) under one np.errstate: each step maps the state through
+M = F forward or F^{-1} backward and takes the spectrum in the pre-image
+coordinates of M, against a factor of M^{-1} Q_in M^{-T} for the stage's
+input image Q_in, so the mapped state is never factored. Only the tube
+entries become ``Ellipsoid``s, through ``Ellipsoid._trusted``, which
+rejects a center that overflowed. ``F`` and ``G`` are validated once per
+stage, and each stage keeps one chain step per direction and eps, derived
+on ``linalg``'s LAPACK kernels; so both directions need an invertible F. A
+tube is a tuple of ellipsoids; one step is the tube over one stage,
 ``propagate_forward(x, [stage])[1]``.
 """
 
@@ -35,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _lift
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import _DEFAULT_OPTIONS, SolverOptions, _chain
@@ -86,27 +83,33 @@ class LtiStage:
         return self.F.shape[0]
 
     def inverse(self) -> np.ndarray:
-        """F^{-1}, read-only; raises SingularMap when F is numerically singular."""
+        """F^{-1}, read-only; raises SingularMap when F is numerically singular.
+        Holds its own np.errstate; ``_inverse`` runs inside the caller's."""
+        with np.errstate(all="ignore"):
+            return self._inverse()
+
+    def _inverse(self) -> np.ndarray:
         if "inverse" not in self._derived:
             self._derived["inverse"] = _freeze(_inverse_or_raise(self.F))
         return self._derived["inverse"]
 
     def _chain_step(self, eps: float, backward: bool):
         """This stage's step of ``mvoe._chain``: (M, the input image's center
-        and shape, M^{-1} L_in), M = F forward and F^{-1} backward. The input
-        image is that of the input set under N = G, or N = -F^{-1} G
-        backward; its shape is the Gram matrix of N L_U, L_U the input set's
-        factor, which is exactly symmetric, and it is lifted and factored
-        once into L_in. Forward, M^{-1} L_in is one solve with F, which
-        raises SingularMap for a singular F; backward it is the product
-        F L_in. Kept per direction and eps. An eps that is negative or not
-        finite raises ValueError, an overflowed shape EllipsumError and an
-        input image that is not positive definite, as with a tall G at
-        eps = 0, NotPositiveDefinite naming it and eps. Runs inside the
-        tube's np.errstate(all="ignore")."""
+        and shape, M^{-1} L_in), M = F forward and F^{-1} backward, kept per
+        direction and eps. The input image is that of the input set under
+        N = G, or N = -F^{-1} G backward; its shape, the Gram matrix of N L_U
+        with L_U the input set's factor, is exactly symmetric and is lifted
+        and factored once into L_in. Forward, M^{-1} L_in is one LU solve
+        with F; backward it is F L_in, and F^{-1} the solve of F against I.
+        Both solves run on ``linalg._solve`` and raise SingularMap for a
+        singular F. An eps that is negative or not finite raises ValueError,
+        an overflowed shape EllipsumError and an input image that is not
+        positive definite, as with a tall G at eps = 0, NotPositiveDefinite
+        naming it and eps. Runs inside the tube's np.errstate(all="ignore")
+        and enters none of its own."""
         key = (backward, eps)
         if key not in self._derived:
-            mapping = -self.inverse() @ self.G if backward else self.G
+            mapping = -self._inverse() @ self.G if backward else self.G
             center, _, factor = self.input_set._parts
             shape = _lift(_gram(mapping @ factor), eps)
             try:
@@ -118,17 +121,14 @@ class LtiStage:
                     f"(pivot {exc.pivot}) at eps = {eps!r}; an input map with fewer columns than rows "
                     "needs eps > 0",
                 ) from exc
-            if backward:
-                m, pulled = self.inverse(), self.F @ lower
-            else:
-                m, pulled = self.F, _solve_or_raise(self.F, lower)
+            m, pulled = (self._inverse(), self.F @ lower) if backward else (self.F, _solve_or_raise(self.F, lower))
             self._derived[key] = (m, mapping @ center, shape, pulled)
         return self._derived[key]
 
 
 def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
-    sigma = np.linalg.svd(f, compute_uv=False)
-    largest, smallest = float(sigma[0]), float(sigma[-1])
+    sigma = linalg._singular_values(f)
+    largest, smallest = sigma[0], sigma[-1]
     if not (smallest > 0.0 and largest <= _MAX_INVERSE_COND * smallest):
         cond = largest / smallest if smallest > 0.0 else math.inf
         raise SingularMap(
@@ -139,11 +139,10 @@ def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
 
 def _solve_or_raise(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """F^{-1} rhs; SingularMap when F is singular or the product overflows."""
-    try:
-        out = np.linalg.solve(f, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMap(f"state matrix F is singular: {exc}") from exc
-    if not np.isfinite(out).all():
+    out = linalg._solve(f, rhs)
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+        if np.isnan(out).all():  # LAPACK's failure fill
+            raise SingularMap("state matrix F is singular: Singular matrix")
         raise SingularMap("state matrix F is numerically singular: F^{-1} times the right side overflows")
     return out
 

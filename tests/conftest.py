@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -11,6 +13,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ellipsum")
+
+
+def unit_ball_volume(dim: int) -> float:
+    """Volume of the Euclidean unit ball in ``dim`` dimensions, in closed form."""
+    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
 
 
 def spd_matrix(rng: np.random.Generator, dim: int, log_lo: float = -2.0, log_hi: float = 2.0) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import spd_matrix
+from conftest import spd_matrix, unit_ball_volume
 from ellipsum import (
     Ellipsoid,
     SolverOptions,
@@ -28,7 +28,6 @@ from ellipsum import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
-    unit_ball_volume,
     unit_direction,
 )
 from ellipsum.oracles import logdet_derivative, logdet_derivative_fd

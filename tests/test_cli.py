@@ -850,6 +850,15 @@ class TestExitCodes:
         assert main(["boundary", inp, str(tmp_path / "b.csv")]) == 5
         assert capsys.readouterr().err == "ellipsum: boundary sampling needs dim 2 or 3, got 1\n"
 
+    @pytest.mark.parametrize("command", ["sum", "check"])
+    def test_5_bisection_outside_the_plane(self, tmp_path, capsys, command):
+        ball = {"center": [0.0, 0.0, 0.0], "shape": np.eye(3).tolist()}
+        inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 3, "ellipsoids": [ball, ball]})
+        argv = [command, inp] + ([str(tmp_path / "r.json")] if command == "sum" else [])
+        assert main(argv + ["--method", "bisection"]) == 5
+        assert capsys.readouterr() == ("", "ellipsum: bisection bracket needs d = 2, got d = 3\n")
+        assert os.listdir(tmp_path) == ["p.json"]
+
     def test_bare_value_error_is_not_an_exit_code(self, tmp_path, monkeypatch):
         # a ValueError that no parser turned into a typed error is a bug
         from ellipsum import cli

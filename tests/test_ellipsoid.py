@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix, support
+from conftest import random_ellipsoid, spd_matrix, support, unit_ball_volume
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -12,7 +12,6 @@ from ellipsum import (
     SingularMap,
     UnsupportedDimension,
     affine_image,
-    unit_ball_volume,
     unit_direction,
 )
 from ellipsum.ellipsoid import _lift

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_ellipsoid, spd_matrix, tall_stage
-from ellipsum import EllipsumError, Ellipsoid, NoConvergence, NotPositiveDefinite, mvoe_pair, mvoe_sum
+from ellipsum import EllipsumError, Ellipsoid, LtiStage, NoConvergence, NotPositiveDefinite, SingularMap
+from ellipsum import mvoe_pair, mvoe_sum
 from ellipsum import propagate_backward, propagate_forward
 from ellipsum import linalg
 from ellipsum.linalg import symmetrize
@@ -297,6 +298,16 @@ class TestGufuncKernels:
             with np.errstate(all="ignore"):
                 assert np.array_equal(linalg._lower_solve(lower, rhs), blocked_solve_reference(lower, rhs))
 
+    @pytest.mark.parametrize("dim", [1, 2, 6, 50])
+    def test_solve_and_singular_values_are_bitwise_numpy(self, dim):
+        rng = np.random.default_rng(525 + dim)
+        a, b = rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(linalg._solve(a, b), np.linalg.solve(a, b))
+            values = linalg._singular_values(a)
+        assert values == np.linalg.svd(a, compute_uv=False).tolist()
+        assert all(type(value) is float for value in values)
+
     @pytest.mark.parametrize("dim", [1, 2, 6, 33])
     def test_pivot_matches_numpy(self, dim):
         rng = np.random.default_rng(530 + dim)
@@ -312,6 +323,24 @@ class TestGufuncKernels:
         # finite input whose largest eigenvalue, 3.4e308, overflows
         with pytest.raises(NoConvergence, match="failed or met non-finite values"):
             sym_eigvals(np.full((2, 2), 1.7e308))
+
+    def test_stage_inverse_that_overflows_raises_without_warning(self):
+        # LtiStage.inverse holds its own errstate: outside any, the
+        # overflowing F^{-1} = 1e309 I raises the typed error, no
+        # RuntimeWarning (an error under pytest), and np.geterr() is kept
+        before = np.geterr()
+        stage = LtiStage(F=1e-309 * np.eye(3), G=np.eye(3), input_set=Ellipsoid(np.zeros(3), np.eye(3)))
+        with pytest.raises(SingularMap, match=r"numerically singular: F\^\{-1\} times the right side overflows"):
+            stage.inverse()
+        assert np.geterr() == before
+
+    def test_failed_svd_fails_the_condition_probe(self, monkeypatch):
+        # a LAPACK failure fills the singular values with NaN; the probe's
+        # comparisons reject them
+        stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
+        monkeypatch.setattr(linalg, "_singular_values", lambda a: [math.nan, math.nan])
+        with pytest.raises(SingularMap, match="numerically singular"):
+            stage.inverse()
 
     def test_singular_lower_inverse_is_nonfinite_without_warning(self):
         # pytest turns RuntimeWarning into an error, so a leak out of the
@@ -384,7 +413,7 @@ class TestGufuncKernels:
             raise AssertionError("np.linalg wrapper called")
 
         monkeypatch.setattr(np, "errstate", counting)
-        for name in ("cholesky", "inv", "eigvalsh"):
+        for name in ("cholesky", "inv", "eigvalsh", "solve", "svd"):
             monkeypatch.setattr(np.linalg, name, refuse)
         tube = (propagate_backward if backward else propagate_forward)(x0, stages, eps=1e-9)
         assert len(tube) == len(stages) + 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ellipsum
-from conftest import random_ellipsoid, spd_matrix, support
+from conftest import random_ellipsoid, spd_matrix, support, unit_ball_volume
 from ellipsum import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -31,7 +31,6 @@ from ellipsum import (
     q_of_direction,
     solve_beta_bisection,
     solve_beta_fixed_point,
-    unit_ball_volume,
     unit_direction,
 )
 from ellipsum import linalg
@@ -843,7 +842,3 @@ class TestSolverOptions:
             with pytest.raises(ValueError, match="an integer"):
                 SolverOptions(max_iterations=cap)
         assert SolverOptions(max_iterations=np.int64(3)).max_iterations == 3
-
-    def test_unit_ball_volume_values(self):
-        assert abs(unit_ball_volume(2) - math.pi) < 1e-15
-        assert abs(unit_ball_volume(3) - 4.0 * math.pi / 3.0) < 1e-15

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import one_step, random_ellipsoid, spd_matrix, support, tall_stage
+from conftest import one_step, random_ellipsoid, spd_matrix, support, tall_stage, unit_ball_volume
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -13,7 +13,6 @@ from ellipsum import (
     mvoe_pair,
     propagate_backward,
     propagate_forward,
-    unit_ball_volume,
 )
 from ellipsum.ellipsoid import _lift, affine_image
 

@@ -159,3 +159,26 @@ def test_one_expression_for_q_of_beta():
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     callers = [function.name for function in functions if "_q_of_beta" in set(_names(function))]
     assert sorted(callers) == ["_chain", "q_of_beta"]
+
+
+def test_only_mvoe_sum_drives_the_chain_in_mvoe():
+    # mvoe_pair is the one-step fold: it checks its operands' dimensions and
+    # calls mvoe_sum, so a pair and a fold share one errstate and one builder
+    tree = ast.parse((SOURCE / "mvoe.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name != "_chain"]
+    assert [function.name for function in functions if "_chain" in set(_names(function))] == ["mvoe_sum"]
+
+
+def test_reach_runs_on_the_linalg_kernels():
+    # reach's solves and singular-value probe call linalg's kernels, whose
+    # LAPACK failure is a NaN output checked inside the tube's one errstate;
+    # the np.linalg wrappers raise LinAlgError under an errstate of their own
+    tree = ast.parse((SOURCE / "reach.py").read_text())
+    numpy_linalg = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" and isinstance(node.value, ast.Name)
+    ]
+    imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and "numpy" in (node.module or "")]
+    assert "LinAlgError" not in set(_names(tree))
+    assert numpy_linalg == [] and imports == []
