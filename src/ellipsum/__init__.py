@@ -44,7 +44,6 @@ from .oracles import (
     containment_check,
     golden_section_beta,
     pair_step_checks,
-    stationarity_check,
 )
 from .reach import LtiStage, propagate_backward, propagate_forward
 
@@ -88,6 +87,5 @@ __all__ = [
     "q_of_direction",
     "solve_beta_bisection",
     "solve_beta_fixed_point",
-    "stationarity_check",
     "unit_direction",
 ]

@@ -13,8 +13,8 @@ is checked and that NaN turned into the package's typed errors: by
 The pair step calls the first three; reach's stage derivation calls the LU
 solve and the singular values. The flag is silenced by one
 ``np.errstate(all="ignore")`` per unit of work, held by the caller:
-``mvoe_sum``, a reach tube, ``LtiStage.inverse``, ``affine_image`` and
-``Ellipsoid`` construction each call the kernels inside their own single
+``mvoe_sum``, a reach tube, ``affine_image``, ``Ellipsoid`` construction
+and ``generalized_spectrum`` each call the kernels inside their own single
 errstate. So no call leaks a ``RuntimeWarning``, and the caller's
 ``np.geterr()`` is restored on return and on raise. The kernels are
 private: ``symmetrize`` is this module's one public function.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class OptimalityPolynomial:
 
     coeffs: np.ndarray
     esp: np.ndarray
-    mu: np.ndarray = field(default_factory=lambda: np.empty(0))
+    mu: np.ndarray
 
     def __call__(self, beta: float) -> float:
         return float(np.polyval(self.coeffs, beta))
@@ -163,25 +163,44 @@ def _q_of_beta(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 + 1.0 / beta) * a + (1.0 + beta) * b
 
 
+def _check_sizes(mats: list[np.ndarray], size: int) -> None:
+    """DimensionMismatch unless every matrix of ``mats`` is ``size`` x
+    ``size``: the rule of ``_check_pair`` for K shapes."""
+    for k, q in enumerate(mats):
+        if q.shape != (size, size):
+            raise DimensionMismatch(f"shape matrix {k} has shape {q.shape}, expected ({size}, {size})")
+
+
 def q_of_direction(shapes, direction) -> np.ndarray:
     """Direction-parameterized outer shape for K summands.
 
     Returns (sum_k sqrt(l'Q_k l)) * sum_k Q_k / sqrt(l'Q_k l) for the unit
     vector l. The resulting ellipsoid touches the Minkowski sum in the
     parameterizing direction: sqrt(l'Q(l)l) equals sum_k sqrt(l'Q_k l)
-    exactly.
+    exactly. No shapes raise EmptyInput; shapes that are not square and of
+    the direction's size DimensionMismatch, and a support l'Q_k l that is not
+    positive and finite ValueError naming k.
     """
     mats = [np.asarray(q, dtype=float) for q in shapes]
     if not mats:
         raise EmptyInput("need at least one shape matrix")
     u = unit_direction(direction)
-    roots = [math.sqrt(u @ q @ u) for q in mats]
+    _check_sizes(mats, u.shape[0])
+    roots = []
+    for k, q in enumerate(mats):
+        support = u @ q @ u
+        if not 0.0 < support < math.inf:
+            raise ValueError(f"shape matrix {k} has support l'Q l = {float(support):.3e}, not positive and finite")
+        roots.append(math.sqrt(support))
     return sum(roots) * sum(q / r for q, r in zip(mats, roots))
+
 
 def q_of_alpha(shapes, alpha) -> np.ndarray:
     """Weight-parameterized outer shape sum_k Q_k / alpha_k.
 
-    The weights must be positive, finite and sum to one.
+    The weights must be positive, finite and sum to one, or InvalidWeights
+    is raised; shapes that are not square and of one size raise
+    DimensionMismatch.
     """
     mats = [np.asarray(q, dtype=float) for q in shapes]
     w = np.asarray(alpha, dtype=float).reshape(-1)
@@ -189,6 +208,7 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
         raise InvalidWeights(f"{len(mats)} shapes but {w.shape[0]} weights")
     if not (np.isfinite(w).all() and (w > 0.0).all()) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidWeights("weights must be positive, finite and sum to 1")
+    _check_sizes(mats, mats[0].shape[0] if mats[0].ndim else 0)
     return sum(q / a for q, a in zip(mats, w))
 
 

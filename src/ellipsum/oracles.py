@@ -1,18 +1,18 @@
-"""Independent brute-force verification oracles.
+"""Brute-force verification oracles.
 
-These deliberately avoid the solver machinery: the volume oracle minimizes
-log det Q(beta) by direct one-dimensional search in log beta over a widened
-spectral bracket (valid because the target has a single stationary point,
-which is a minimum, and that point lies in the bracket; the widening keeps
-it there when the spectrum is off), containment is tested by
-sampling support functions, and the derivative checks triangulate a closed
-form, a finite difference and the spectral sum against each other.
-``pair_step_checks`` is the certificate of one pair step: the stationarity,
-consistency and volume-agreement reports, all three on one generalized
-spectrum of Q1^{-1} Q2, taken once. The ``check`` CLI command runs
-``containment_check`` on its outer ellipsoid and ``pair_step_checks`` on
-each pair step; the test suite calls the checks one by one. Each oracle
-that takes a beta raises NonPositiveBeta unless it is positive and finite.
+Four legs are independent of the solver: the closed-form derivative of log
+det Q(beta) by whitened ``np.linalg`` solves, its finite difference and the
+golden-section search in log beta, both on numpy's ``slogdet``, and
+containment by sampled support functions. Three parts read the spectrum of
+Q1^{-1} Q2 from ``generalized_spectrum``, the solver's own whitening: the
+stationarity check's spectral leg and the consistency identity, which
+therefore cannot catch an error in it, and the search's bracket, which is
+widened so that such an error cannot exclude the minimizer.
+``pair_step_checks`` certifies one pair step by the stationarity,
+consistency and volume-agreement reports on one such spectrum; ``check``
+runs it on each pair step and ``containment_check`` on its output. Each
+oracle that takes a beta raises NonPositiveBeta unless it is positive and
+finite.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, _log_unit_ball_volume
 from .errors import DimensionMismatch
-from .mvoe import _positive_beta, generalized_spectrum, logdet_curvature, optimality_residual, q_of_beta
+from .mvoe import _positive_beta, _spectrum, generalized_spectrum, logdet_curvature, optimality_residual, q_of_beta
 
 #: absolute support-function slack for containment checks; a report's
 #: ``worst_violation`` is the largest violation minus this
@@ -270,34 +270,28 @@ def logdet_derivative_fd(Q1, Q2, beta: float) -> float:
     return (_logdet_q(a, b, beta + h) - _logdet_q(a, b, beta - h)) / (2.0 * h)
 
 
-def stationarity_check(Q1, Q2, beta: float) -> CheckReport:
-    """Triangulate three evaluations of d/dbeta log det Q(beta) at ``beta``.
+def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) -> CheckReport:
+    """Triangulate three evaluations of d/dbeta log det Q(beta) at ``beta``:
 
     (a) the closed form via whitened solves, (b) a central finite
-    difference, (c) the spectral sum scaled by -1/(beta (1+beta)). The check
-    passes when the three agree pairwise within DERIVATIVE_RTOL and all three,
-    times ``beta``, are below STATIONARY_TOL in magnitude, i.e. ``beta``
-    really is a stationary point. That product is the derivative in log
-    beta, -r(beta)/(1 + beta) with r the optimality residual; it is
-    scale-free and bounded by d, where d/dbeta itself decays like d/beta
-    far above the root. Agreement has a floor for values near zero. Between
-    (a) and (c) it is 1e-8 / beta, i.e. 1e-8 on the derivative in log beta:
-    both are formed from quantities whose rounding is scale-free in log
-    beta, so their difference in d/dbeta scales like 1/beta. For the two
-    comparisons with (b) it is 1e-8, raised to FD_ROUNDOFF_FACTOR times
-    the roundoff of (b), eps * (cond(Q(beta)) + sum_i |log s_i|) / h with
-    step h and s the singular values of Q(beta). The magnitude test forgives
-    (b) the same roundoff floor. A ``beta`` at which these forms could
-    overflow fails with an infinite violation and is not evaluated.
+    difference, (c) the sum over ``lam``, the spectrum of a^{-1} b, scaled
+    by -1/(beta (1+beta)); only (a) and (b) are independent of the solver.
+    The check passes when the three agree pairwise within DERIVATIVE_RTOL
+    and all three, times ``beta``, are below STATIONARY_TOL in magnitude,
+    i.e. ``beta`` really is a stationary point. That product is the
+    derivative in log beta, -r(beta)/(1 + beta) with r the optimality
+    residual; it is scale-free and bounded by d, where d/dbeta itself decays
+    like d/beta far above the root. Agreement has a floor for values near
+    zero. Between (a) and (c) it is 1e-8 / beta, i.e. 1e-8 on the derivative
+    in log beta: both are formed from quantities whose rounding is
+    scale-free in log beta, so their difference in d/dbeta scales like
+    1/beta. For the two comparisons with (b) it is 1e-8, raised to
+    FD_ROUNDOFF_FACTOR times the roundoff of (b), eps * (cond(Q(beta)) +
+    sum_i |log s_i|) / h with step h and s the singular values of Q(beta).
+    The magnitude test forgives (b) the same roundoff floor. A ``beta`` at
+    which these forms could overflow fails with an infinite violation and is
+    not evaluated.
     """
-    beta = _positive_beta(beta)
-    a = np.asarray(Q1, dtype=float)
-    b = np.asarray(Q2, dtype=float)
-    return _stationarity(a, b, generalized_spectrum(a, b), beta)
-
-
-def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) -> CheckReport:
-    """The check of ``stationarity_check`` on the spectrum ``lam`` of a^{-1} b."""
     if _beyond_float_range(lam, beta, max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))):
         return _not_evaluated("stationarity", 3, beta)
     closed = logdet_derivative(a, b, beta)
@@ -333,10 +327,12 @@ def consistency_checks(lam, beta_plus: float) -> CheckReport:
     d / (beta (beta + 1)); this asserts that identity to IDENTITY_RTOL
     relative, plus strict positivity of the log-volume curvature at the
     root. A ``beta_plus`` at which these forms could overflow fails with an
-    infinite violation and is not evaluated.
+    infinite violation and is not evaluated. ``lam`` must be a nonempty,
+    positive and finite spectrum, or ValueError is raised, as by
+    ``optimality_residual``.
     """
     beta_plus = _positive_beta(beta_plus)
-    values = np.asarray(lam, dtype=float).reshape(-1)
+    values = _spectrum(lam)
     d = values.shape[0]
     if _beyond_float_range(values, beta_plus):
         return _not_evaluated("consistency", d, beta_plus)

@@ -19,9 +19,10 @@ input image Q_in, so the mapped state is never factored. Only the tube
 entries become ``Ellipsoid``s, through ``Ellipsoid._trusted``, which
 rejects a center that overflowed. ``F`` and ``G`` are validated once per
 stage, and each stage keeps one chain step per direction and eps, derived
-on ``linalg``'s LAPACK kernels; so both directions need an invertible F. A
-tube is a tuple of ellipsoids; one step is the tube over one stage,
-``propagate_forward(x, [stage])[1]``.
+on ``linalg``'s LAPACK kernels inside the tube's errstate, the only one
+this module enters; so both directions need an invertible F, and F^{-1} is
+formed only inside a backward step. A tube is a tuple of ellipsoids; one
+step is the tube over one stage, ``propagate_forward(x, [stage])[1]``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ class LtiStage:
     """One time step of x+ = F x + G u with input set u in ``input_set``.
 
     ``F`` and ``G`` are stored as read-only copies, so what propagation
-    derives from them (F^{-1}, the lifted input images and their pulled-back
-    factors) is computed on first use and kept with the stage: a tube that
-    repeats one stage pays for it once.
+    derives from them, one chain step per direction and eps (the lifted
+    input image, its pulled-back factor and, backward, F^{-1}), is computed
+    on first use and kept with the stage: a tube that repeats one stage
+    pays for it once.
     """
 
     F: np.ndarray
@@ -82,17 +84,6 @@ class LtiStage:
     def n(self) -> int:
         return self.F.shape[0]
 
-    def inverse(self) -> np.ndarray:
-        """F^{-1}, read-only; raises SingularMap when F is numerically singular.
-        Holds its own np.errstate; ``_inverse`` runs inside the caller's."""
-        with np.errstate(all="ignore"):
-            return self._inverse()
-
-    def _inverse(self) -> np.ndarray:
-        if "inverse" not in self._derived:
-            self._derived["inverse"] = _freeze(_inverse_or_raise(self.F))
-        return self._derived["inverse"]
-
     def _chain_step(self, eps: float, backward: bool):
         """This stage's step of ``mvoe._chain``: (M, the input image's center
         and shape, M^{-1} L_in), M = F forward and F^{-1} backward, kept per
@@ -100,7 +91,9 @@ class LtiStage:
         N = G, or N = -F^{-1} G backward; its shape, the Gram matrix of N L_U
         with L_U the input set's factor, is exactly symmetric and is lifted
         and factored once into L_in. Forward, M^{-1} L_in is one LU solve
-        with F; backward it is F L_in, and F^{-1} the solve of F against I.
+        with F, and F^{-1} is never formed; backward it is F L_in, and
+        F^{-1}, the solve of F against I after the probe cond_2(F) <=
+        eps_machine^{-1/2}, is computed once per step and kept only in it.
         Both solves run on ``linalg._solve`` and raise SingularMap for a
         singular F. An eps that is negative or not finite raises ValueError,
         an overflowed shape EllipsumError and an input image that is not
@@ -109,7 +102,8 @@ class LtiStage:
         and enters none of its own."""
         key = (backward, eps)
         if key not in self._derived:
-            mapping = -self._inverse() @ self.G if backward else self.G
+            inverse = _inverse_or_raise(self.F) if backward else None
+            mapping = -inverse @ self.G if backward else self.G
             center, _, factor = self.input_set._parts
             shape = _lift(_gram(mapping @ factor), eps)
             try:
@@ -121,7 +115,7 @@ class LtiStage:
                     f"(pivot {exc.pivot}) at eps = {eps!r}; an input map with fewer columns than rows "
                     "needs eps > 0",
                 ) from exc
-            m, pulled = (self._inverse(), self.F @ lower) if backward else (self.F, _solve_or_raise(self.F, lower))
+            m, pulled = (inverse, self.F @ lower) if backward else (self.F, _solve_or_raise(self.F, lower))
             self._derived[key] = (m, mapping @ center, shape, pulled)
         return self._derived[key]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from ellipsum import Ellipsoid, LtiStage
+from ellipsum import CheckReport, Ellipsoid, LtiStage, pair_step_checks
 from ellipsum.oracles import _support_terms
 
 settings.register_profile(
@@ -52,3 +52,9 @@ def tall_stage(rng: np.random.Generator, n: int, m: int, low: float, high: float
 def one_step(propagate, x: Ellipsoid, stage: LtiStage, **kw) -> Ellipsoid:
     """One reach step: the entry after ``x`` of ``propagate``'s tube over ``stage``."""
     return propagate(x, [stage], **kw)[1]
+
+
+def stationarity_report(Q1, Q2, beta: float) -> CheckReport:
+    """The stationarity report of one pair step at ``beta``: the first of
+    ``pair_step_checks``, whose other reports this ignores."""
+    return pair_step_checks(Q1, Q2, beta, 0.0)[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix, tall_stage
+from conftest import one_step, random_ellipsoid, spd_matrix, tall_stage
 from ellipsum import EllipsumError, Ellipsoid, LtiStage, NoConvergence, NotPositiveDefinite, SingularMap
 from ellipsum import mvoe_pair, mvoe_sum
 from ellipsum import propagate_backward, propagate_forward
@@ -325,13 +325,13 @@ class TestGufuncKernels:
             sym_eigvals(np.full((2, 2), 1.7e308))
 
     def test_stage_inverse_that_overflows_raises_without_warning(self):
-        # LtiStage.inverse holds its own errstate: outside any, the
+        # the backward tube holds the one errstate: outside any, the
         # overflowing F^{-1} = 1e309 I raises the typed error, no
         # RuntimeWarning (an error under pytest), and np.geterr() is kept
         before = np.geterr()
         stage = LtiStage(F=1e-309 * np.eye(3), G=np.eye(3), input_set=Ellipsoid(np.zeros(3), np.eye(3)))
         with pytest.raises(SingularMap, match=r"numerically singular: F\^\{-1\} times the right side overflows"):
-            stage.inverse()
+            one_step(propagate_backward, Ellipsoid(np.zeros(3), np.eye(3)), stage, eps=0.0)
         assert np.geterr() == before
 
     def test_failed_svd_fails_the_condition_probe(self, monkeypatch):
@@ -340,7 +340,7 @@ class TestGufuncKernels:
         stage = LtiStage(F=np.eye(2), G=np.eye(2), input_set=Ellipsoid(np.zeros(2), np.eye(2)))
         monkeypatch.setattr(linalg, "_singular_values", lambda a: [math.nan, math.nan])
         with pytest.raises(SingularMap, match="numerically singular"):
-            stage.inverse()
+            one_step(propagate_backward, Ellipsoid(np.zeros(2), np.eye(2)), stage, eps=0.0)
 
     def test_singular_lower_inverse_is_nonfinite_without_warning(self):
         # pytest turns RuntimeWarning into an error, so a leak out of the

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,43 @@ class TestParameterizations:
         # test and a sum test that ask what is wrong instead of what is right
         with pytest.raises(InvalidWeights, match="finite"):
             q_of_alpha([np.eye(2), np.eye(2)], weights)
+
+    @pytest.mark.parametrize(
+        "shapes, direction",
+        [
+            ([np.eye(2), np.eye(3)], [1.0, 0.0]),
+            ([np.eye(3), np.eye(3)], [1.0, 0.0]),
+            ([np.ones((2, 3)), np.eye(2)], [1.0, 0.0]),
+            ([np.ones(2)], [1.0, 0.0]),
+        ],
+        ids=["unequal", "not-the-direction's-size", "not-square", "vector"],
+    )
+    def test_q_of_direction_rejects_mismatched_shapes(self, shapes, direction):
+        with pytest.raises(DimensionMismatch):
+            q_of_direction(shapes, direction)
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((2, 2)), -np.eye(2), np.full((2, 2), math.nan)], ids=["zero", "negative", "nan"]
+    )
+    def test_q_of_direction_rejects_a_support_that_is_not_positive_and_finite(self, bad):
+        # l'Q_k l divides the shape; a zero, negative or non-finite support
+        # raises, naming k, before any division can warn or return NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="shape matrix 1 has support"):
+                q_of_direction([np.eye(2), bad], [1.0, 1.0])
+        assert caught == []
+
+    def test_q_of_direction_checks_emptiness_first(self):
+        with pytest.raises(EmptyInput):
+            q_of_direction([], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "shapes", [[np.eye(2), np.eye(3)], [np.ones((2, 3)), np.ones((2, 3))], [np.ones(2), np.ones(2)]]
+    )
+    def test_q_of_alpha_rejects_mismatched_shapes(self, shapes):
+        with pytest.raises(DimensionMismatch):
+            q_of_alpha(shapes, [0.5, 0.5])
 
     def test_containment_of_all_parameterizations(self):
         # sqrt(u'Q(.)u) >= sum_k sqrt(u'Q_k u) for any parameter choice

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_ellipsoid, spd_matrix
+from conftest import random_ellipsoid, spd_matrix, stationarity_report
 from ellipsum import (
     DimensionMismatch,
     Ellipsoid,
@@ -17,9 +17,9 @@ from ellipsum import (
     golden_section_beta,
     mvoe_pair,
     pair_step_checks,
+    q_of_beta,
     solve_beta_bisection,
     solve_beta_fixed_point,
-    stationarity_check,
 )
 from ellipsum import oracles
 from ellipsum.mvoe import _newton
@@ -209,27 +209,21 @@ class TestContainment:
 
 class TestStationarity:
     def test_equal_disks_at_root(self):
-        from ellipsum import stationarity_check
-
-        report = stationarity_check(np.eye(2), np.eye(2), 1.0)
+        report = stationarity_report(np.eye(2), np.eye(2), 1.0)
         assert report.passed
 
     def test_random_pair_at_solver_root(self):
-        from ellipsum import stationarity_check
-
         rng = np.random.default_rng(85)
         for dim in (2, 5):
             q1, q2 = spd_matrix(rng, dim), spd_matrix(rng, dim)
             lam = generalized_spectrum(q1, q2)
             beta, _ = solve_beta_fixed_point(lam, 1.0)
-            report = stationarity_check(q1, q2, beta)
+            report = stationarity_report(q1, q2, beta)
             assert report.passed, report.details
 
     def test_solver_roots_pass_at_wide_shape_scales(self):
         # shape eigenvalues over six decades put the finite difference's
         # roundoff near 1e-7, far above its true value at the root
-        from ellipsum import stationarity_check
-
         failed = []
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -237,7 +231,7 @@ class TestStationarity:
             acc = parts[0]
             for nxt in parts[1:]:
                 result = mvoe_pair(acc, nxt)
-                report = stationarity_check(acc.shape, nxt.shape, result.beta)
+                report = stationarity_report(acc.shape, nxt.shape, result.beta)
                 if not report.passed:
                     failed.append((seed, report.details))
                 acc = result.ellipsoid
@@ -273,31 +267,25 @@ class TestStationarity:
     def test_far_above_root_fails(self, beta):
         # the root is 1; d/dbeta decays like d/beta, so only the derivative in
         # log beta (about -2 here) tells these betas from a root
-        from ellipsum import stationarity_check
-
-        report = stationarity_check(np.eye(2), np.eye(2), beta)
+        report = stationarity_report(np.eye(2), np.eye(2), beta)
         assert not report.passed
         assert report.worst_violation > 1.0
 
     def test_solver_roots_pass_at_shape_scales(self):
-        from ellipsum import stationarity_check
-
         rng = np.random.default_rng(89)
         for scale1, scale2 in itertools.product(10.0 ** np.arange(-6, 7, 3), repeat=2):
             for dim in (2, 5):
                 q1, q2 = scale1 * spd_matrix(rng, dim), scale2 * spd_matrix(rng, dim)
                 beta, _ = _newton(generalized_spectrum(q1, q2).tolist(), SolverOptions())
-                report = stationarity_check(q1, q2, beta)
+                report = stationarity_report(q1, q2, beta)
                 assert report.passed, (scale1, scale2, report.details)
 
     def test_off_root_fails_but_routes_agree(self):
-        from ellipsum import stationarity_check
-
         rng = np.random.default_rng(86)
         q1, q2 = spd_matrix(rng, 3), spd_matrix(rng, 3)
         lam = generalized_spectrum(q1, q2)
         beta, _ = solve_beta_fixed_point(lam, 1.0)
-        report = stationarity_check(q1, q2, 2.0 * beta)
+        report = stationarity_report(q1, q2, 2.0 * beta)
         assert not report.passed
         closed = logdet_derivative(q1, q2, 2.0 * beta)
         fd = logdet_derivative_fd(q1, q2, 2.0 * beta)
@@ -311,6 +299,43 @@ class TestStationarity:
                 closed = logdet_derivative(q1, q2, float(beta))
                 fd = logdet_derivative_fd(q1, q2, float(beta))
                 assert abs(closed - fd) <= 1e-4 * max(abs(closed), abs(fd), 1e-8)
+
+    def test_closed_form_is_right_at_the_steps_that_fail_stationarity(self):
+        # the verdict sweep: 300 problems from default_rng(7), d = 2..8 and
+        # K = 2..6 summands, each shape s O diag(10^U(-3, 3)) O' with
+        # s = 10^U(-6, 6) and O from the QR of a Gaussian matrix. The first
+        # pair steps of problems 97, 186 and 251 (generalized spectra up to
+        # 5.4e10, 4.9e11 and 8.9e12) fail stationarity. The closed-form leg
+        # is not at fault: against a 60-digit derivative at the solver's
+        # beta it errs by at most 0.79 eps cond(Q(beta)) / beta there; the
+        # solver's beta is off the root by up to 4.8e-7 (relative), through
+        # its Gram-form spectrum, which the spectral leg shares
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+
+        def shape(d):
+            frame, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            return scale * (frame @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, d))) @ frame.T
+
+        steps = {}
+        for problem in range(252):
+            d, k = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+            parts = []
+            for _ in range(k):
+                q = shape(d)  # drawn before its center
+                parts.append(Ellipsoid(rng.normal(size=d), q))
+            if problem in (97, 186, 251):
+                steps[problem] = (parts[0].shape, parts[1].shape, mvoe_pair(parts[0], parts[1]).beta)
+        assert [q1.shape[0] for q1, _, _ in steps.values()] == [8, 5, 6]
+        for problem, (q1, q2, beta) in steps.items():
+            with mpmath.workdps(60):
+                a, b, exact_beta = mpmath.matrix(q1.tolist()), mpmath.matrix(q2.tolist()), mpmath.mpf(beta)
+                q = (1 + 1 / exact_beta) * a + (1 + exact_beta) * b
+                x = mpmath.inverse(q) * (b - a / exact_beta**2)
+                exact = float(mpmath.fsum(x[i, i] for i in range(q1.shape[0])))
+            bound = 16.0 * np.finfo(float).eps * np.linalg.cond(q_of_beta(q1, q2, beta)) / beta
+            assert abs(logdet_derivative(q1, q2, beta) - exact) <= bound, problem
 
 
 class TestConsistency:
@@ -343,10 +368,24 @@ class TestConsistency:
 # each oracle that takes a beta, called with that beta
 BETA_ORACLES = {
     "logdet_derivative": lambda beta: logdet_derivative(np.eye(2), 2.0 * np.eye(2), beta),
-    "stationarity_check": lambda beta: stationarity_check(np.eye(2), 2.0 * np.eye(2), beta),
     "consistency_checks": lambda beta: consistency_checks([1.0, 2.0], beta),
     "pair_step_checks": lambda beta: pair_step_checks(np.eye(2), 2.0 * np.eye(2), beta, 0.0),
 }
+
+
+# spectra that are not positive and finite
+BAD_SPECTRA = {"negative": [-1.0, 2.0], "zero": [0.0, 2.0], "nan": [math.nan, 1.0]}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECTRA))
+def test_consistency_checks_reject_a_spectrum_that_is_not_positive_and_finite(name):
+    # the spectrum rule of optimality_residual and logdet_curvature, raised
+    # before the identity divides by 1 + beta l
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="spectrum must be"):
+            consistency_checks(BAD_SPECTRA[name], 1.0)
+    assert caught == []
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])

@@ -62,7 +62,7 @@ def test_only_ellipsoid_takes_log_dets():
 def test_cli_names_no_oracle_internals():
     # check hands each pair step to oracles.pair_step_checks, which takes
     # the spectrum once; the CLI neither takes it nor runs the checks alone
-    for name in ("generalized_spectrum", "golden_section_beta", "stationarity_check", "consistency_checks"):
+    for name in ("generalized_spectrum", "golden_section_beta", "_stationarity", "consistency_checks"):
         assert "cli.py" not in _modules_naming(name), name
 
 
@@ -182,3 +182,80 @@ def test_reach_runs_on_the_linalg_kernels():
     imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and "numpy" in (node.module or "")]
     assert "LinAlgError" not in set(_names(tree))
     assert numpy_linalg == [] and imports == []
+
+
+ROOT = SOURCE.parent.parent
+
+#: public names that may lack a caller for now: q_of_alpha is the weight
+#: family of ROADMAP direction 4, whose joint K-summand solve will call it
+UNCALLED_EXEMPT = {"q_of_alpha"}
+
+
+def _reads(tree):
+    """(identifier, is an attribute, enclosing definitions) for every name
+    the AST loads and every attribute it names; the enclosing definitions
+    are the dotted qualnames of the defs and classes around it."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (f"{scope[-1]}.{node.name}" if scope else node.name,)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, False, scope))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, True, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # the public surface is what the package, its scripts and the
+    # acceptance criteria call: a name in ellipsum.__all__, or a public
+    # method or property of an exported class (read as an attribute), that
+    # is named only inside its own def or class body is a helper kept for
+    # its unit tests. Names are matched as identifiers, so two methods of
+    # one name count as each other's callers
+    import inspect
+
+    import ellipsum
+
+    paths = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    reads = [(path, *read) for path in paths for read in _reads(ast.parse(path.read_text()))]
+
+    def called(name, qualname, module, method):
+        own = SOURCE / f"{module.rsplit('.', 1)[-1]}.py"
+        return any(
+            used == name and (attribute or not method) and not (path == own and qualname in scope)
+            for path, used, attribute, scope in reads
+        )
+
+    targets = []
+    for name in ellipsum.__all__:
+        obj = getattr(ellipsum, name)
+        targets.append((name, name, obj.__module__, False))
+        if inspect.isclass(obj):
+            targets += [
+                (attr, f"{name}.{attr}", obj.__module__, True)
+                for attr, value in vars(obj).items()
+                if not attr.startswith("_") and (callable(getattr(obj, attr)) or isinstance(value, property))
+            ]
+    uncalled = sorted(target[1] for target in targets if not called(*target))
+    assert uncalled == sorted(UNCALLED_EXEMPT)
+
+
+def test_reach_enters_one_errstate():
+    # a tube's steps, F^{-1} of a backward stage included, run inside the
+    # one np.errstate of reach._propagate
+    tree = ast.parse((SOURCE / "reach.py").read_text())
+    holders = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "errstate"
+    ]
+    assert holders == ["_propagate"]
