@@ -22,13 +22,16 @@ def _log_unit_ball_volume(dim: int) -> float:
 
 
 def unit_direction(vector) -> np.ndarray:
-    """Normalize a direction vector to unit Euclidean length.
-
-    The zero vector is rejected.
-    """
+    """Normalize a direction vector to unit Euclidean length. A norm that
+    underflows to 0 or overflows is taken again on the vector divided by its
+    largest magnitude. The zero vector and non-finite vectors are rejected."""
     u = np.asarray(vector, dtype=float).reshape(-1)
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0 or not math.isfinite(norm):
+    with np.errstate(all="ignore"):
+        norm = float(np.linalg.norm(u))
+        if not 0.0 < norm < math.inf:
+            u = u / np.max(np.abs(u), initial=0.0)
+            norm = float(np.linalg.norm(u))
+    if not 0.0 < norm < math.inf:
         raise ValueError("direction must be a nonzero finite vector")
     return u / norm
 
@@ -56,7 +59,7 @@ class Ellipsoid:
 
     def __post_init__(self):
         center = np.array(self.center, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(center)):
+        if not linalg._finite(center):
             raise ValueError("center has non-finite entries")
         with np.errstate(all="ignore"):
             shape = linalg.symmetrize(self.shape)
@@ -69,11 +72,10 @@ class Ellipsoid:
 
     @classmethod
     def _trusted(cls, parts) -> Ellipsoid:
-        """The ellipsoid of computed ``parts`` (center, shape, factor),
-        whose shape is SPD by construction and factored by ``_factored``.
-        Only the center is checked: an overflow in forming it raises
-        EllipsumError."""
-        if not np.logical_and.reduce(np.isfinite(parts[0]), axis=None):
+        """The ellipsoid of computed ``parts`` (center, shape, factor), whose
+        shape is SPD by construction and factored by ``linalg._cholesky``. Only
+        the center is checked: an overflow in forming it raises EllipsumError."""
+        if not linalg._finite(parts[0]):
             raise EllipsumError("center has non-finite entries (overflow)")
         out = object.__new__(cls)
         out._store(parts)
@@ -172,18 +174,6 @@ def _gram(n: np.ndarray) -> np.ndarray:
     return np.dot(n, n.T)
 
 
-def _factored(shape: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a computed shape; one with non-finite entries
-    (an overflow) raises EllipsumError rather than NotPositiveDefinite.
-    Runs inside the caller's np.errstate(all="ignore")."""
-    try:
-        return linalg._cholesky(shape)
-    except NotPositiveDefinite as exc:
-        if not np.isfinite(shape).all():
-            raise EllipsumError("shape matrix has non-finite entries (overflow)") from exc
-        raise
-
-
 def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
     """Image of an ellipsoid under x -> F x: E(Fq, F Q F'), factored once.
 
@@ -195,13 +185,13 @@ def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
     f = np.asarray(matrix, dtype=float)
     if f.ndim != 2 or f.shape[1] != ell.dim:
         raise DimensionMismatch(f"map shape {f.shape} incompatible with dim {ell.dim}")
-    if not np.isfinite(f).all():
+    if not linalg._finite(f):
         raise ValueError("map has non-finite entries")
     center, _, factor = ell._parts
     with np.errstate(all="ignore"):
         shape = _gram(f @ factor)
         try:
-            lower = _factored(shape)
+            lower = linalg._cholesky(shape)
         except NotPositiveDefinite as exc:
             raise SingularMap(f"image shape matrix is not positive definite: {exc}") from exc
         parts = (f @ center, shape, lower)

@@ -1,30 +1,25 @@
-"""Input symmetrization and the package's LAPACK kernels: a Cholesky
-factor, a blocked lower-triangular solve, symmetric eigenvalues, an LU
-solve and singular values.
+"""The package's one failure rule for arrays, and its LAPACK kernels: a
+Cholesky factor, a blocked lower-triangular solve, symmetric eigenvalues,
+an LU solve and singular values.
 
-The kernels call the gufuncs that ``np.linalg`` itself wraps, from
-``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``, ``eigvalsh_lo``
-and ``svd``, each with signature "d->d", and ``solve``, "dd->d". That skips
-the wrappers' array wrapping, type resolution and per-call ``np.errstate``,
-which at d = 2 cost several times the LAPACK call. A gufunc that fails fills
-its output with NaN and raises the floating-point invalid flag. Each output
-is checked and that NaN turned into the package's typed errors: by
-``_cholesky`` and ``_sym_eigvals`` themselves, by the caller of the others.
-The pair step calls the first three; reach's stage derivation calls the LU
-solve and the singular values. The flag is silenced by one
+A raw shape matrix is checked once, by ``_check_symmetric``, which
+``symmetrize`` and ``mvoe._shapes`` run; a computed array is tested by
+``_finite``, the one finiteness predicate; a computed shape is factored by
+``_cholesky``, the one checked factorization. The kernels call the gufuncs
+that ``np.linalg`` wraps, from ``numpy.linalg._umath_linalg``:
+``cholesky_lo``, ``inv``, ``eigvalsh_lo`` and ``svd`` ("d->d") and
+``solve`` ("dd->d"), skipping the wrappers' array wrapping, type resolution
+and per-call ``np.errstate``, which at d = 2 cost several times the LAPACK
+call. A failing gufunc fills its output with NaN and raises the invalid
+flag; ``_cholesky`` and ``_sym_eigvals`` turn that NaN into typed errors,
+the callers of the others check it. The flag is silenced by one
 ``np.errstate(all="ignore")`` per unit of work, held by the caller:
 ``mvoe_sum``, a reach tube, ``affine_image``, ``Ellipsoid`` construction
-and ``generalized_spectrum`` each call the kernels inside their own single
-errstate. So no call leaks a ``RuntimeWarning``, and the caller's
-``np.geterr()`` is restored on return and on raise. The kernels are
-private: ``symmetrize`` is this module's one public function.
-
-``_umath_linalg`` is private numpy API and is imported in this module only.
-These names and signatures are the ones ``np.linalg`` has called since
-numpy 1.22; tests/test_linalg.py pins their behaviour against the
-``np.linalg`` wrappers. Everything works on dense float64 numpy arrays.
-A finiteness check on an array is one ``np.logical_and.reduce`` over
-``np.isfinite``, which skips the Python layer of ``ndarray.all``.
+and ``generalized_spectrum``. So no call leaks a ``RuntimeWarning``, and the
+caller's ``np.geterr()`` is restored on return and on raise. ``symmetrize``
+is the one public function. ``_umath_linalg`` is private numpy API, imported
+here only; its names and signatures are those ``np.linalg`` has called since
+numpy 1.22, and tests/test_linalg.py pins them to the wrappers.
 """
 
 import math
@@ -32,7 +27,7 @@ import math
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import EllipsumError, NoConvergence, NotPositiveDefinite
 
 SYMMETRY_RTOL = 1e-9
 
@@ -41,62 +36,61 @@ SYMMETRY_RTOL = 1e-9
 _INVERSE_BLOCK = 32
 
 
-def symmetrize(matrix) -> np.ndarray:
-    """Validate and symmetrize a square matrix.
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, without ``ndarray.all``'s Python layer."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
 
-    Asymmetry up to SYMMETRY_RTOL (relative to the largest entry) is treated as
-    I/O roundoff and averaged away; anything larger is rejected as genuinely
-    wrong input. The average halves before it adds, so it cannot overflow
-    where the entries themselves are finite, and it is exactly symmetric.
-    """
-    m = np.array(matrix, dtype=float)
+
+def _check_symmetric(m: np.ndarray, name: str = "matrix") -> None:
+    """ValueError, naming ``name``, unless the float array ``m`` is square,
+    at least 1x1, finite and asymmetric by at most SYMMETRY_RTOL times its
+    largest entry (or 1); taken on halves, the asymmetry cannot overflow."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"{name} dimension must be at least 1")
+    if not _finite(m):
+        raise ValueError(f"{name} has non-finite entries")
     scale = np.max(np.abs(m))
-    gap = np.max(np.abs(m - m.T))
+    gap = 2.0 * float(np.max(np.abs(0.5 * m - 0.5 * m.T)))
     if gap > SYMMETRY_RTOL * max(scale, 1.0):
-        raise ValueError(f"matrix is not symmetric (asymmetry {gap:.3e}, scale {scale:.3e})")
+        raise ValueError(f"{name} is not symmetric (asymmetry {gap:.3e}, scale {scale:.3e})")
+
+
+def symmetrize(matrix) -> np.ndarray:
+    """Validate a square matrix by ``_check_symmetric`` and average away the
+    roundoff asymmetry it accepts: halves first, so that no finite entry
+    overflows, into an exactly symmetric matrix."""
+    m = np.array(matrix, dtype=float)
+    _check_symmetric(m)
     return 0.5 * m + 0.5 * m.T
 
 
-def _lapack_cholesky(m: np.ndarray) -> np.ndarray | None:
-    """LAPACK's lower factor of ``m``, or None when it fails (a NaN output)
-    or is not finite."""
-    lower = _umath_linalg.cholesky_lo(m, signature="d->d")
-    return lower if np.logical_and.reduce(np.isfinite(lower), axis=None) else None
-
-
 def _failing_pivot(m: np.ndarray) -> int:
-    """Index of the first pivot at which the factorization of ``m`` breaks down.
-
-    That is the first k whose leading (k+1)x(k+1) block has no factor. A
-    block that has one implies every smaller leading block has one, so the
-    search bisects over k. Only called after the whole of ``m`` failed.
-    """
+    """Index of the first pivot at which the factorization of ``m`` breaks
+    down: the first k whose leading (k+1)x(k+1) block has no factor, found by
+    bisection, as every leading block of a matrix with a factor has one too.
+    Only called after the whole of ``m`` failed."""
     good, bad = 0, m.shape[0]  # leading block sizes known to factor / to fail
     while bad - good > 1:
         size = (good + bad) // 2
-        if _lapack_cholesky(m[:size, :size]) is None:
-            bad = size
-        else:
+        if _finite(_umath_linalg.cholesky_lo(m[:size, :size], signature="d->d")):
             good = size
+        else:
+            bad = size
     return bad - 1
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L with L @ L.T == m, of a float64 array.
-
-    Raises NotPositiveDefinite (with the failing pivot index) when ``m`` is
-    not positive definite. Only the lower triangle of ``m`` is read.
-    """
-    lower = _lapack_cholesky(m)
-    if lower is None:
-        raise NotPositiveDefinite(_failing_pivot(m))
-    return lower
+    """Lower Cholesky factor L with L @ L.T == m, of a float64 array, read
+    from its lower triangle. Where LAPACK fails, an ``m`` that is not finite
+    (an overflow) raises EllipsumError, any other NotPositiveDefinite."""
+    lower = _umath_linalg.cholesky_lo(m, signature="d->d")
+    if _finite(lower):
+        return lower
+    if not _finite(m):
+        raise EllipsumError("shape matrix has non-finite entries (overflow)")
+    raise NotPositiveDefinite(_failing_pivot(m))
 
 
 def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -134,7 +128,7 @@ def _sym_eigvals(m: np.ndarray) -> list[float]:
     root solver reads anyway.
     """
     # the eigensolver returns finite values for some non-finite input
-    if not np.logical_and.reduce(np.isfinite(m), axis=None):
+    if not _finite(m):
         raise NoConvergence("symmetric eigensolver met non-finite values")
     values = _umath_linalg.eigvalsh_lo(m, signature="d->d").tolist()
     # a LAPACK failure fills the output with NaN

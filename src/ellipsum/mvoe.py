@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _factored, _gram, unit_direction
+from .ellipsoid import Ellipsoid, _gram, unit_direction
 from .errors import (
     DimensionMismatch,
     DimensionNotTwo,
@@ -118,12 +118,19 @@ class OptimalityPolynomial:
         return float(np.polyval(self.coeffs, beta))
 
 
-def _check_pair(Q1, Q2) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(Q1, dtype=float)
-    b = np.asarray(Q2, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"shape matrices must be square and equal-sized, got {a.shape} and {b.shape}")
-    return a, b
+def _shapes(mats, size: int | None = None) -> list[np.ndarray]:
+    """The raw shape matrices ``mats`` as float arrays, by the one input rule
+    of every public function that takes them: DimensionMismatch unless each
+    is ``size`` x ``size`` (default: the first one's rows), then the ValueError
+    of ``linalg._check_symmetric``. Nothing is averaged: accepted input keeps its bits."""
+    out = [np.asarray(q, dtype=float) for q in mats]
+    if size is None:
+        size = out[0].shape[0] if out[0].ndim else 0
+    for k, q in enumerate(out):
+        if q.shape != (size, size):
+            raise DimensionMismatch(f"shape matrix {k} has shape {q.shape}, expected ({size}, {size})")
+        linalg._check_symmetric(q, f"shape matrix {k}")
+    return out
 
 
 def _spectrum(lam) -> np.ndarray:
@@ -131,7 +138,7 @@ def _spectrum(lam) -> np.ndarray:
     finite and positive spectrum: the one input check of the public root
     solvers and of ``optimality_polynomial``."""
     values = np.asarray(lam, dtype=float).reshape(-1)
-    if values.shape[0] < 1 or not (np.isfinite(values).all() and (values > 0.0).all()):
+    if values.shape[0] < 1 or not (linalg._finite(values) and (values > 0.0).all()):
         raise ValueError("spectrum must be a nonempty array of positive finite values")
     return values
 
@@ -152,23 +159,15 @@ def _positive_beta(beta) -> float:
 
 def q_of_beta(Q1, Q2, beta: float) -> np.ndarray:
     """Outer shape matrix (1 + 1/beta) Q1 + (1 + beta) Q2 for beta > 0."""
-    a, b = _check_pair(Q1, Q2)
+    a, b = _shapes((Q1, Q2))
     return _q_of_beta(a, b, _positive_beta(beta))
 
 
 def _q_of_beta(a: np.ndarray, b: np.ndarray, beta: float) -> np.ndarray:
-    """Q(beta), unchecked: the one expression that ``q_of_beta`` and each
-    step of ``_chain`` evaluate, so a shape re-formed from a step's beta
-    is bit for bit the step's own."""
+    """Q(beta), unchecked: the one expression that ``q_of_beta``, each step
+    of ``_chain`` and the oracles evaluate, so a shape re-formed from a
+    step's beta is bit for bit the step's own."""
     return (1.0 + 1.0 / beta) * a + (1.0 + beta) * b
-
-
-def _check_sizes(mats: list[np.ndarray], size: int) -> None:
-    """DimensionMismatch unless every matrix of ``mats`` is ``size`` x
-    ``size``: the rule of ``_check_pair`` for K shapes."""
-    for k, q in enumerate(mats):
-        if q.shape != (size, size):
-            raise DimensionMismatch(f"shape matrix {k} has shape {q.shape}, expected ({size}, {size})")
 
 
 def q_of_direction(shapes, direction) -> np.ndarray:
@@ -177,20 +176,20 @@ def q_of_direction(shapes, direction) -> np.ndarray:
     Returns (sum_k sqrt(l'Q_k l)) * sum_k Q_k / sqrt(l'Q_k l) for the unit
     vector l. The resulting ellipsoid touches the Minkowski sum in the
     parameterizing direction: sqrt(l'Q(l)l) equals sum_k sqrt(l'Q_k l)
-    exactly. No shapes raise EmptyInput; shapes that are not square and of
-    the direction's size DimensionMismatch, and a support l'Q_k l that is not
+    exactly. No shapes raise EmptyInput, and a support l'Q_k l that is not
     positive and finite ValueError naming k.
     """
-    mats = [np.asarray(q, dtype=float) for q in shapes]
-    if not mats:
+    shapes = list(shapes)
+    if not shapes:
         raise EmptyInput("need at least one shape matrix")
     u = unit_direction(direction)
-    _check_sizes(mats, u.shape[0])
+    mats = _shapes(shapes, u.shape[0])
+    with np.errstate(all="ignore"):
+        supports = [float(u @ q @ u) for q in mats]
     roots = []
-    for k, q in enumerate(mats):
-        support = u @ q @ u
+    for k, support in enumerate(supports):
         if not 0.0 < support < math.inf:
-            raise ValueError(f"shape matrix {k} has support l'Q l = {float(support):.3e}, not positive and finite")
+            raise ValueError(f"shape matrix {k} has support l'Q l = {support:.3e}, not positive and finite")
         roots.append(math.sqrt(support))
     return sum(roots) * sum(q / r for q, r in zip(mats, roots))
 
@@ -199,27 +198,24 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
     """Weight-parameterized outer shape sum_k Q_k / alpha_k.
 
     The weights must be positive, finite and sum to one, or InvalidWeights
-    is raised; shapes that are not square and of one size raise
-    DimensionMismatch.
+    is raised.
     """
-    mats = [np.asarray(q, dtype=float) for q in shapes]
+    shapes = list(shapes)
     w = np.asarray(alpha, dtype=float).reshape(-1)
-    if len(mats) != w.shape[0]:
-        raise InvalidWeights(f"{len(mats)} shapes but {w.shape[0]} weights")
-    if not (np.isfinite(w).all() and (w > 0.0).all()) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
+    if len(shapes) != w.shape[0]:
+        raise InvalidWeights(f"{len(shapes)} shapes but {w.shape[0]} weights")
+    if not (linalg._finite(w) and (w > 0.0).all()) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidWeights("weights must be positive, finite and sum to 1")
-    _check_sizes(mats, mats[0].shape[0] if mats[0].ndim else 0)
-    return sum(q / a for q, a in zip(mats, w))
+    return sum(q / a for q, a in zip(_shapes(shapes), w))
 
 
 def _whitened_spectrum(factor: np.ndarray, pulled: np.ndarray) -> list[float]:
     """Eigenvalues, ascending and as Python floats, of the exactly symmetric
     Gram matrix X X' of the solution X of L X = P, L the lower Cholesky
-    factor of Q1 and P P' = Q2: the spectrum of Q1^{-1} Q2. P is Q2's own
-    factor in a pair step and a factor of M^{-1} Q2 M^{-T} in a mapped
-    step of ``_chain``. X comes from the blocked triangular solve, so no
-    inverse larger than a diagonal block is formed, and no eigenvectors
-    are. Runs inside the caller's np.errstate(all="ignore").
+    factor of Q1 and P P' = Q2: the spectrum of Q1^{-1} Q2. X comes from
+    the blocked triangular solve, so no inverse larger than a diagonal block
+    is formed, and no eigenvectors are. Runs inside the caller's
+    np.errstate(all="ignore").
 
     L and P are factors, so the spectrum is positive in exact arithmetic.
     A smallest eigenvalue that rounds to <= 0 means the eigenvalue ratio is
@@ -246,7 +242,11 @@ def generalized_spectrum(Q1, Q2) -> np.ndarray:
     This is the route the pair step takes. Only the eigenvalues are
     computed.
     """
-    a, b = _check_pair(Q1, Q2)
+    return _generalized_spectrum(*_shapes((Q1, Q2)))
+
+
+def _generalized_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``generalized_spectrum`` of shapes that a public call has checked."""
     with np.errstate(all="ignore"):
         return np.array(_whitened_spectrum(linalg._cholesky(a), linalg._cholesky(b)))
 
@@ -447,9 +447,19 @@ def beta_trace_optimal(Q1, Q2) -> float:
     """Closed-form parameter minimizing trace(Q(beta)): sqrt(tr Q1 / tr Q2).
 
     Minimizing the trace means minimizing the sum of squared semi-axis
-    lengths; it is also a cheap warm start for the volume solvers.
+    lengths; it is also a cheap warm start for the volume solvers. A trace
+    that is not positive and finite raises ValueError naming its operand.
     """
-    a, b = _check_pair(Q1, Q2)
+    a, b = _shapes((Q1, Q2))
+    with np.errstate(all="ignore"):
+        for k, trace in enumerate((float(np.trace(a)), float(np.trace(b)))):
+            if not 0.0 < trace < math.inf:
+                raise ValueError(f"shape matrix {k} has trace {trace:.3e}, not positive and finite")
+    return _trace_ratio(a, b)
+
+
+def _trace_ratio(a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(tr a / tr b), unchecked: the ``trace`` step's beta, the ``fixed_point`` step's start."""
     return math.sqrt(float(np.trace(a)) / float(np.trace(b)))
 
 
@@ -487,7 +497,7 @@ def _chain(parts, steps, opts: SolverOptions):
         try:
             values = _whitened_spectrum(factor, pulled)
         except EllipsumError as exc:
-            if not np.logical_and.reduce(np.isfinite(shape), axis=None):
+            if not linalg._finite(shape):
                 raise EllipsumError("shape matrix has non-finite entries (overflow)") from exc
             raise
         if opts.method == "auto":
@@ -495,12 +505,12 @@ def _chain(parts, steps, opts: SolverOptions):
         elif opts.method == "bisection":
             beta, iterations = solve_beta_bisection(values, opts)
         elif opts.method == "fixed_point":
-            beta, iterations = solve_beta_fixed_point(values, beta_trace_optimal(shape, shape2), opts)
+            beta, iterations = solve_beta_fixed_point(values, _trace_ratio(shape, shape2), opts)
         else:  # "trace"
-            beta, iterations = beta_trace_optimal(shape, shape2), 0
+            beta, iterations = _trace_ratio(shape, shape2), 0
         center = center + center2
         shape = _q_of_beta(shape, shape2, beta)
-        factor = _factored(shape)
+        factor = linalg._cholesky(shape)
         yield (center, shape, factor), beta, iterations, values
 
 
@@ -534,8 +544,6 @@ def mvoe_pair(e1: Ellipsoid, e2: Ellipsoid, opts: SolverOptions | None = None) -
     The output is SPD by construction and is not validated again. It is
     the one-step fold ``mvoe_sum((e1, e2), opts)[0]``.
     """
-    if e1.dim != e2.dim:
-        raise DimensionMismatch(f"operands have dims {e1.dim} and {e2.dim}")
     return mvoe_sum((e1, e2), opts)[0]
 
 

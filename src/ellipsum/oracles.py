@@ -12,7 +12,8 @@ widened so that such an error cannot exclude the minimizer.
 consistency and volume-agreement reports on one such spectrum; ``check``
 runs it on each pair step and ``containment_check`` on its output. Each
 oracle that takes a beta raises NonPositiveBeta unless it is positive and
-finite.
+finite, and each that takes shape matrices checks them once, by
+``mvoe._shapes``, not again inside the search or a check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, _log_unit_ball_volume
 from .errors import DimensionMismatch
-from .mvoe import _positive_beta, _spectrum, generalized_spectrum, logdet_curvature, optimality_residual, q_of_beta
+from .mvoe import _generalized_spectrum, _positive_beta, _q_of_beta, _shapes, _spectrum
+from .mvoe import logdet_curvature, optimality_residual
 
 #: absolute support-function slack for containment checks; a report's
 #: ``worst_violation`` is the largest violation minus this
@@ -97,8 +99,8 @@ class CheckReport:
 
 def _logdet_q(Q1: np.ndarray, Q2: np.ndarray, beta: float) -> float:
     """log det Q(beta) via numpy's slogdet, independent of the package's
-    own factorizations; +inf when the combination is numerically indefinite."""
-    sign, value = np.linalg.slogdet(q_of_beta(Q1, Q2, beta))
+    own factorizations, unchecked; +inf when it is numerically indefinite."""
+    sign, value = np.linalg.slogdet(_q_of_beta(Q1, Q2, beta))
     return value if sign > 0.0 else math.inf
 
 
@@ -115,9 +117,8 @@ def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    a = np.asarray(Q1, dtype=float)
-    b = np.asarray(Q2, dtype=float)
-    return _golden_section(a, b, generalized_spectrum(a, b), tol)
+    a, b = _shapes((Q1, Q2))
+    return _golden_section(a, b, _generalized_spectrum(a, b), tol)
 
 
 def _golden_section(a: np.ndarray, b: np.ndarray, lam: np.ndarray, tol: float) -> tuple[float, float]:
@@ -251,8 +252,10 @@ def logdet_derivative(Q1, Q2, beta: float) -> float:
     R = Q1^{-1} Q2, evaluated on the symmetric whitened form of R.
     """
     beta = _positive_beta(beta)
-    a = np.asarray(Q1, dtype=float)
-    b = np.asarray(Q2, dtype=float)
+    return _logdet_derivative(*_shapes((Q1, Q2)), beta)
+
+
+def _logdet_derivative(a: np.ndarray, b: np.ndarray, beta: float) -> float:
     L = np.linalg.cholesky(a)
     x = np.linalg.solve(L, b)
     w = np.linalg.solve(L, x.T).T
@@ -264,8 +267,11 @@ def logdet_derivative(Q1, Q2, beta: float) -> float:
 
 def logdet_derivative_fd(Q1, Q2, beta: float) -> float:
     """Central finite difference of log det Q(beta) with step FD_REL_STEP * beta."""
-    a = np.asarray(Q1, dtype=float)
-    b = np.asarray(Q2, dtype=float)
+    beta = _positive_beta(beta)
+    return _logdet_derivative_fd(*_shapes((Q1, Q2)), beta)
+
+
+def _logdet_derivative_fd(a: np.ndarray, b: np.ndarray, beta: float) -> float:
     h = FD_REL_STEP * beta
     return (_logdet_q(a, b, beta + h) - _logdet_q(a, b, beta - h)) / (2.0 * h)
 
@@ -294,12 +300,12 @@ def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) ->
     """
     if _beyond_float_range(lam, beta, max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))):
         return _not_evaluated("stationarity", 3, beta)
-    closed = logdet_derivative(a, b, beta)
-    fd = logdet_derivative_fd(a, b, beta)
+    closed = _logdet_derivative(a, b, beta)
+    fd = _logdet_derivative_fd(a, b, beta)
     spectral = -optimality_residual(lam, beta) / (beta * (1.0 + beta))
 
     atol = 1e-8
-    s = np.linalg.svd(q_of_beta(a, b, beta), compute_uv=False)
+    s = np.linalg.svd(_q_of_beta(a, b, beta), compute_uv=False)
     logdet_error = s[0] / s[-1] + float(np.sum(np.abs(np.log(s))))
     fd_roundoff = np.finfo(float).eps * logdet_error / (FD_REL_STEP * beta)
     fd_atol = max(atol, FD_ROUNDOFF_FACTOR * fd_roundoff)
@@ -363,9 +369,8 @@ def pair_step_checks(Q1, Q2, beta: float, log_volume: float) -> list[CheckReport
     log beta). The three share one generalized spectrum of Q1^{-1} Q2.
     """
     beta = _positive_beta(beta)
-    a = np.asarray(Q1, dtype=float)
-    b = np.asarray(Q2, dtype=float)
-    lam = generalized_spectrum(a, b)
+    a, b = _shapes((Q1, Q2))
+    lam = _generalized_spectrum(a, b)
     reports = [_stationarity(a, b, lam, beta), consistency_checks(lam, beta)]
     _, oracle_log_volume = _golden_section(a, b, lam, 1e-9)
     diff = abs(log_volume - oracle_log_volume)

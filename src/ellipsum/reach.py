@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _factored, _freeze, _gram, _lift
+from .ellipsoid import Ellipsoid, _freeze, _gram, _lift
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import _DEFAULT_OPTIONS, SolverOptions, _chain
 
@@ -71,7 +71,7 @@ class LtiStage:
         if g.ndim != 2 or g.shape[0] != f.shape[0]:
             raise DimensionMismatch(f"G shape {g.shape} incompatible with F shape {f.shape}")
         for name, matrix in (("F", f), ("G", g)):
-            if not np.isfinite(matrix).all():
+            if not linalg._finite(matrix):
                 raise ValueError(f"{name} has non-finite entries")
         if self.input_set.dim != g.shape[1]:
             raise DimensionMismatch(
@@ -107,7 +107,7 @@ class LtiStage:
             center, _, factor = self.input_set._parts
             shape = _lift(_gram(mapping @ factor), eps)
             try:
-                lower = _factored(shape)
+                lower = linalg._cholesky(shape)
             except NotPositiveDefinite as exc:
                 raise NotPositiveDefinite(
                     exc.pivot,
@@ -134,7 +134,7 @@ def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
 def _solve_or_raise(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """F^{-1} rhs; SingularMap when F is singular or the product overflows."""
     out = linalg._solve(f, rhs)
-    if not np.logical_and.reduce(np.isfinite(out), axis=None):
+    if not linalg._finite(out):
         if np.isnan(out).all():  # LAPACK's failure fill
             raise SingularMap("state matrix F is singular: Singular matrix")
         raise SingularMap("state matrix F is numerically singular: F^{-1} times the right side overflows")

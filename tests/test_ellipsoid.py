@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ class TestSupport:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             unit_direction(np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200], ids=["underflow", "overflow"])
+    def test_direction_whose_norm_leaves_the_float_range(self, scale):
+        # the plain norm of these underflows to 0 or overflows to inf; the
+        # direction is normalized on its rescaled copy, without a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            u = unit_direction([3.0 * scale, 4.0 * scale])
+        assert caught == []
+        assert np.allclose(u, [0.6, 0.8], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [math.inf, math.inf], []])
+    def test_nonfinite_or_empty_direction_rejected(self, bad):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="nonzero finite"):
+                unit_direction(bad)
+        assert caught == []
+
+    def test_ordinary_direction_keeps_its_bits(self):
+        v = np.random.default_rng(45).normal(size=5)
+        assert np.array_equal(unit_direction(v), v / np.linalg.norm(v))
 
 
 class TestAffineImage:

@@ -36,6 +36,7 @@ from ellipsum import (
 )
 from ellipsum import linalg
 from ellipsum.mvoe import _fixed_point_map, _newton
+from ellipsum.oracles import logdet_derivative, logdet_derivative_fd
 
 
 def planar_cubic(l1, l2, beta):
@@ -164,14 +165,22 @@ class TestParameterizations:
             q_of_direction(shapes, direction)
 
     @pytest.mark.parametrize(
-        "bad", [np.zeros((2, 2)), -np.eye(2), np.full((2, 2), math.nan)], ids=["zero", "negative", "nan"]
+        "bad, match",
+        [
+            (np.zeros((2, 2)), "has support"),
+            (-np.eye(2), "has support"),
+            (np.full((2, 2), math.nan), "has non-finite entries"),
+            (1e308 * np.ones((2, 2)), "has support"),
+        ],
+        ids=["zero", "negative", "nan", "overflow"],
     )
-    def test_q_of_direction_rejects_a_support_that_is_not_positive_and_finite(self, bad):
-        # l'Q_k l divides the shape; a zero, negative or non-finite support
-        # raises, naming k, before any division can warn or return NaN
+    def test_q_of_direction_rejects_a_support_that_is_not_positive_and_finite(self, bad, match):
+        # l'Q_k l divides the shape; a zero, negative or overflowing support
+        # raises, naming k, before any division can warn or return NaN; a
+        # NaN shape fails the input check first
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match="shape matrix 1 has support"):
+            with pytest.raises(ValueError, match=f"shape matrix 1 {match}"):
                 q_of_direction([np.eye(2), bad], [1.0, 1.0])
         assert caught == []
 
@@ -203,6 +212,51 @@ class TestParameterizations:
                 outer = math.sqrt(u @ q @ u)
                 inner = sum(math.sqrt(u @ s @ u) for s in parts)
                 assert outer >= inner - 1e-9
+
+
+#: every public function that takes raw shape matrices, called with the
+#: pair (Q1, Q2)
+RAW_SHAPE_ENTRY_POINTS = {
+    "q_of_beta": lambda q1, q2: q_of_beta(q1, q2, 1.0),
+    "generalized_spectrum": generalized_spectrum,
+    "beta_trace_optimal": beta_trace_optimal,
+    "q_of_direction": lambda q1, q2: q_of_direction([q1, q2], [1.0, 0.0]),
+    "q_of_alpha": lambda q1, q2: q_of_alpha([q1, q2], [0.5, 0.5]),
+    "golden_section_beta": lambda q1, q2: golden_section_beta(q1, q2, 1e-6),
+    "pair_step_checks": lambda q1, q2: pair_step_checks(q1, q2, 1.0, 0.0),
+    "logdet_derivative": lambda q1, q2: logdet_derivative(q1, q2, 1.0),
+    "logdet_derivative_fd": lambda q1, q2: logdet_derivative_fd(q1, q2, 1.0),
+}
+
+#: (shape, error) that the one input check rejects beside a 2x2 identity
+BAD_RAW_SHAPES = {
+    "nan": (np.array([[math.nan, 0.0], [0.0, 1.0]]), ValueError),
+    "inf": (np.array([[math.inf, 0.0], [0.0, 1.0]]), ValueError),
+    "non-square": (np.ones((2, 3)), DimensionMismatch),
+    "mismatched": (np.eye(3), DimensionMismatch),
+    "asymmetric": (np.array([[1.0, 5.0], [0.0, 1.0]]), ValueError),
+    # m - m' overflows; the check takes the asymmetry on halves
+    "asymmetric-huge": (np.array([[1.0, 1e308], [-1e308, 1.0]]), ValueError),
+}
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("bad", sorted(BAD_RAW_SHAPES))
+@pytest.mark.parametrize("name", sorted(RAW_SHAPE_ENTRY_POINTS))
+def test_raw_shapes_are_checked_by_one_rule(name, bad, position):
+    # one input check for raw shape matrices: each entry point raises the
+    # same typed error, naming the operand, before any arithmetic can warn,
+    # return NaN or report a pivot
+    shape, error = BAD_RAW_SHAPES[bad]
+    pair = [np.eye(2), np.eye(2)]
+    pair[position] = shape
+    # a size mismatch is named on the shape that differs from the first
+    named = "[01]" if bad == "mismatched" else position
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=f"shape matrix {named} "):
+            RAW_SHAPE_ENTRY_POINTS[name](*pair)
+    assert caught == []
 
 
 class TestGeneralizedSpectrum:
@@ -538,6 +592,19 @@ class TestFixedPoint:
 
 
 class TestTraceOptimal:
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((2, 2)), -np.eye(2), 1e308 * np.eye(2)], ids=["zero", "negative", "overflow"]
+    )
+    def test_rejects_a_trace_that_is_not_positive_and_finite(self, bad, position):
+        pair = [np.eye(2), np.eye(2)]
+        pair[position] = bad
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"shape matrix {position} has trace"):
+                beta_trace_optimal(*pair)
+        assert caught == []
+
     def test_equal_shapes(self):
         q = spd_matrix(np.random.default_rng(66), 3)
         assert abs(beta_trace_optimal(q, q) - 1.0) < 1e-15

@@ -88,7 +88,7 @@ class TestGoldenSection:
         # must still find the true minimizer at beta = 1/2
         from ellipsum import oracles
 
-        monkeypatch.setattr(oracles, "generalized_spectrum", lambda a, b: 1.5 * generalized_spectrum(a, b))
+        monkeypatch.setattr(oracles, "_generalized_spectrum", lambda a, b: 1.5 * generalized_spectrum(a, b))
         q1 = np.diag([1.0, 3.0])
         beta_gs, _ = golden_section_beta(q1, 4.0 * q1, 1e-9)
         assert abs(beta_gs - 0.5) < 1e-3

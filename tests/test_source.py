@@ -187,8 +187,10 @@ def test_reach_runs_on_the_linalg_kernels():
 ROOT = SOURCE.parent.parent
 
 #: public names that may lack a caller for now: q_of_alpha is the weight
-#: family of ROADMAP direction 4, whose joint K-summand solve will call it
-UNCALLED_EXEMPT = {"q_of_alpha"}
+#: family of ROADMAP direction 4, whose joint K-summand solve will call it;
+#: beta_trace_optimal is the checked form of the trace ratio that the trace
+#: and fixed-point steps of the chain evaluate unchecked, once per step
+UNCALLED_EXEMPT = {"beta_trace_optimal", "q_of_alpha"}
 
 
 def _reads(tree):
@@ -259,3 +261,43 @@ def test_reach_enters_one_errstate():
         if isinstance(node, ast.Attribute) and node.attr == "errstate"
     ]
     assert holders == ["_propagate"]
+
+
+#: every public function that takes raw shape matrices, by module
+RAW_SHAPE_ENTRY_POINTS = {
+    "mvoe.py": ["q_of_beta", "generalized_spectrum", "beta_trace_optimal", "q_of_direction", "q_of_alpha"],
+    "oracles.py": ["golden_section_beta", "pair_step_checks", "logdet_derivative", "logdet_derivative_fd"],
+}
+
+
+def test_raw_shapes_are_checked_by_one_helper():
+    # each entry point checks its shapes by mvoe._shapes, which applies the
+    # check of linalg.symmetrize; the per-module forks of that rule are gone
+    for module, names in RAW_SHAPE_ENTRY_POINTS.items():
+        tree = ast.parse((SOURCE / module).read_text())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            assert "_shapes" in set(_names(functions[name])), name
+    assert _modules_naming("_check_symmetric") == ["linalg.py", "mvoe.py"]
+    for name in ("_check_pair", "_check_sizes"):
+        assert _modules_naming(name) == [], name
+
+
+def test_one_checked_factorization():
+    # linalg._cholesky factors every shape and raises its typed errors;
+    # no wrapper beside it re-reads a failed factor
+    for name in ("_factored", "_lapack_cholesky"):
+        assert _modules_naming(name) == [], name
+
+
+def test_one_finiteness_test_of_arrays():
+    # linalg._finite is the package's one test that an array is finite:
+    # np.isfinite is spelled nowhere else
+    found = [
+        (path.name, getattr(statement, "name", type(statement).__name__))
+        for path in sorted(SOURCE.glob("*.py"))
+        for statement in ast.parse(path.read_text()).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite" and getattr(node.value, "id", None) == "np"
+    ]
+    assert found == [("linalg.py", "_finite")]
