@@ -24,7 +24,6 @@ from .mvoe import (
     MvoeResult,
     OptimalityPolynomial,
     SolverOptions,
-    beta_trace_optimal,
     bracket_beta_2d,
     generalized_spectrum,
     logdet_curvature,
@@ -68,7 +67,6 @@ __all__ = [
     "SolverOptions",
     "UnsupportedDimension",
     "affine_image",
-    "beta_trace_optimal",
     "bracket_beta_2d",
     "consistency_checks",
     "containment_check",

@@ -21,14 +21,19 @@ def _log_unit_ball_volume(dim: int) -> float:
     return 0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim + 1.0)
 
 
+#: smallest norm whose square is a normal double; below it the plain norm loses bits
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
 def unit_direction(vector) -> np.ndarray:
-    """Normalize a direction vector to unit Euclidean length. A norm that
-    underflows to 0 or overflows is taken again on the vector divided by its
-    largest magnitude. The zero vector and non-finite vectors are rejected."""
+    """Normalize a direction vector to unit Euclidean length. A norm below
+    ``_NORM_FLOOR`` (whose square is subnormal or 0) or one that overflows
+    is taken again on the vector divided by its largest magnitude. The zero
+    vector and non-finite vectors are rejected."""
     u = np.asarray(vector, dtype=float).reshape(-1)
     with np.errstate(all="ignore"):
         norm = float(np.linalg.norm(u))
-        if not 0.0 < norm < math.inf:
+        if not _NORM_FLOOR <= norm < math.inf:
             u = u / np.max(np.abs(u), initial=0.0)
             norm = float(np.linalg.norm(u))
     if not 0.0 < norm < math.inf:

@@ -5,7 +5,9 @@ an LU solve and singular values.
 A raw shape matrix is checked once, by ``_check_symmetric``, which
 ``symmetrize`` and ``mvoe._shapes`` run; a computed array is tested by
 ``_finite``, the one finiteness predicate; a computed shape is factored by
-``_cholesky``, the one checked factorization. The kernels call the gufuncs
+``_cholesky``, the one checked factorization, and a failure on one that
+overflowed is reported by ``_check_overflow``, which ``_cholesky`` and the
+pair step's spectrum call. The kernels call the gufuncs
 that ``np.linalg`` wraps, from ``numpy.linalg._umath_linalg``:
 ``cholesky_lo``, ``inv``, ``eigvalsh_lo`` and ``svd`` ("d->d") and
 ``solve`` ("dd->d"), skipping the wrappers' array wrapping, type resolution
@@ -81,15 +83,22 @@ def _failing_pivot(m: np.ndarray) -> int:
     return bad - 1
 
 
+def _check_overflow(shape: np.ndarray) -> None:
+    """EllipsumError unless the computed ``shape`` is finite: the one
+    translation of a failure on a shape that overflowed."""
+    if not _finite(shape):
+        raise EllipsumError("shape matrix has non-finite entries (overflow)")
+
+
 def _cholesky(m: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == m, of a float64 array, read
     from its lower triangle. Where LAPACK fails, an ``m`` that is not finite
-    (an overflow) raises EllipsumError, any other NotPositiveDefinite."""
+    (an overflow) raises ``_check_overflow``'s EllipsumError, any other
+    NotPositiveDefinite."""
     lower = _umath_linalg.cholesky_lo(m, signature="d->d")
     if _finite(lower):
         return lower
-    if not _finite(m):
-        raise EllipsumError("shape matrix has non-finite entries (overflow)")
+    _check_overflow(m)
     raise NotPositiveDefinite(_failing_pivot(m))
 
 

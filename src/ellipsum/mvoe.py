@@ -443,23 +443,10 @@ def solve_beta_fixed_point(lam, beta0: float, opts: SolverOptions | None = None)
     raise MaxIterationsExceeded(last_beta=beta, iterations=opts.max_iterations)
 
 
-def beta_trace_optimal(Q1, Q2) -> float:
-    """Closed-form parameter minimizing trace(Q(beta)): sqrt(tr Q1 / tr Q2).
-
-    Minimizing the trace means minimizing the sum of squared semi-axis
-    lengths; it is also a cheap warm start for the volume solvers. A trace
-    that is not positive and finite raises ValueError naming its operand.
-    """
-    a, b = _shapes((Q1, Q2))
-    with np.errstate(all="ignore"):
-        for k, trace in enumerate((float(np.trace(a)), float(np.trace(b)))):
-            if not 0.0 < trace < math.inf:
-                raise ValueError(f"shape matrix {k} has trace {trace:.3e}, not positive and finite")
-    return _trace_ratio(a, b)
-
-
 def _trace_ratio(a: np.ndarray, b: np.ndarray) -> float:
-    """sqrt(tr a / tr b), unchecked: the ``trace`` step's beta, the ``fixed_point`` step's start."""
+    """sqrt(tr a / tr b), the parameter minimizing trace(Q(beta)), that is,
+    the sum of squared semi-axis lengths: the ``trace`` step's beta and the
+    ``fixed_point`` step's start. Unchecked; both shapes are positive definite."""
     return math.sqrt(float(np.trace(a)) / float(np.trace(b)))
 
 
@@ -496,9 +483,8 @@ def _chain(parts, steps, opts: SolverOptions):
             shape = _gram(np.dot(m, factor))
         try:
             values = _whitened_spectrum(factor, pulled)
-        except EllipsumError as exc:
-            if not linalg._finite(shape):
-                raise EllipsumError("shape matrix has non-finite entries (overflow)") from exc
+        except EllipsumError:
+            linalg._check_overflow(shape)
             raise
         if opts.method == "auto":
             beta, iterations = _newton(values, opts, beta)

@@ -91,15 +91,17 @@ class TestSupport:
         with pytest.raises(ValueError):
             unit_direction(np.zeros(3))
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e200], ids=["underflow", "overflow"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-162, 1e200], ids=["underflow", "subnormal", "overflow"])
     def test_direction_whose_norm_leaves_the_float_range(self, scale):
-        # the plain norm of these underflows to 0 or overflows to inf; the
-        # direction is normalized on its rescaled copy, without a warning
+        # the plain norm of these underflows to 0, keeps only a few bits of
+        # a subnormal square, or overflows to inf; the direction is
+        # normalized on its rescaled copy, without a warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             u = unit_direction([3.0 * scale, 4.0 * scale])
         assert caught == []
         assert np.allclose(u, [0.6, 0.8], rtol=1e-15, atol=0)
+        assert abs(float(np.linalg.norm(u)) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 1.0], [math.inf, math.inf], []])
     def test_nonfinite_or_empty_direction_rejected(self, bad):

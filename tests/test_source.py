@@ -187,10 +187,8 @@ def test_reach_runs_on_the_linalg_kernels():
 ROOT = SOURCE.parent.parent
 
 #: public names that may lack a caller for now: q_of_alpha is the weight
-#: family of ROADMAP direction 4, whose joint K-summand solve will call it;
-#: beta_trace_optimal is the checked form of the trace ratio that the trace
-#: and fixed-point steps of the chain evaluate unchecked, once per step
-UNCALLED_EXEMPT = {"beta_trace_optimal", "q_of_alpha"}
+#: family of ROADMAP direction 4, whose joint K-summand solve will call it
+UNCALLED_EXEMPT = {"q_of_alpha"}
 
 
 def _reads(tree):
@@ -265,7 +263,7 @@ def test_reach_enters_one_errstate():
 
 #: every public function that takes raw shape matrices, by module
 RAW_SHAPE_ENTRY_POINTS = {
-    "mvoe.py": ["q_of_beta", "generalized_spectrum", "beta_trace_optimal", "q_of_direction", "q_of_alpha"],
+    "mvoe.py": ["q_of_beta", "generalized_spectrum", "q_of_direction", "q_of_alpha"],
     "oracles.py": ["golden_section_beta", "pair_step_checks", "logdet_derivative", "logdet_derivative_fd"],
 }
 
@@ -285,9 +283,12 @@ def test_raw_shapes_are_checked_by_one_helper():
 
 def test_one_checked_factorization():
     # linalg._cholesky factors every shape and raises its typed errors;
-    # no wrapper beside it re-reads a failed factor
+    # no wrapper beside it re-reads a failed factor, and the overflow of a
+    # computed shape is reported by linalg._check_overflow alone
     for name in ("_factored", "_lapack_cholesky"):
         assert _modules_naming(name) == [], name
+    message = "shape matrix has non-finite entries (overflow)"
+    assert [path.name for path in sorted(SOURCE.glob("*.py")) if message in path.read_text()] == ["linalg.py"]
 
 
 def test_one_finiteness_test_of_arrays():
