@@ -25,7 +25,6 @@ from .mvoe import (
     OptimalityPolynomial,
     SolverOptions,
     bracket_beta_2d,
-    generalized_spectrum,
     logdet_curvature,
     mvoe_pair,
     mvoe_sum,
@@ -41,6 +40,7 @@ from .oracles import (
     CheckReport,
     consistency_checks,
     containment_check,
+    generalized_spectrum,
     golden_section_beta,
     pair_step_checks,
 )

@@ -4,24 +4,25 @@ an LU solve and singular values.
 
 A raw shape matrix is checked once, by ``_check_symmetric``, which
 ``symmetrize`` and ``mvoe._shapes`` run; a computed array is tested by
-``_finite``, the one finiteness predicate; a computed shape is factored by
+``_finite``, the one finiteness predicate; every shape is factored by
 ``_cholesky``, the one checked factorization, and a failure on one that
-overflowed is reported by ``_check_overflow``, which ``_cholesky`` and the
-pair step's spectrum call. The kernels call the gufuncs
-that ``np.linalg`` wraps, from ``numpy.linalg._umath_linalg``:
-``cholesky_lo``, ``inv``, ``eigvalsh_lo`` and ``svd`` ("d->d") and
-``solve`` ("dd->d"), skipping the wrappers' array wrapping, type resolution
-and per-call ``np.errstate``, which at d = 2 cost several times the LAPACK
-call. A failing gufunc fills its output with NaN and raises the invalid
-flag; ``_cholesky`` and ``_sym_eigvals`` turn that NaN into typed errors,
-the callers of the others check it. The flag is silenced by one
-``np.errstate(all="ignore")`` per unit of work, held by the caller:
-``mvoe_sum``, a reach tube, ``affine_image``, ``Ellipsoid`` construction
-and ``generalized_spectrum``. So no call leaks a ``RuntimeWarning``, and the
-caller's ``np.geterr()`` is restored on return and on raise. ``symmetrize``
-is the one public function. ``_umath_linalg`` is private numpy API, imported
-here only; its names and signatures are those ``np.linalg`` has called since
-numpy 1.22, and tests/test_linalg.py pins them to the wrappers.
+overflowed is reported by ``_check_overflow``, which ``_cholesky``, the pair
+step's spectrum and ``mvoe.q_of_direction`` call; ``_sym_eigvals`` reads
+every whitened spectrum. The kernels call the gufuncs that ``np.linalg``
+wraps, from ``numpy.linalg._umath_linalg``: ``cholesky_lo``, ``inv``,
+``eigvalsh_lo`` and ``svd`` ("d->d") and ``solve`` ("dd->d"), skipping the
+wrappers' array wrapping, type resolution and per-call ``np.errstate``,
+which at d = 2 cost several times the LAPACK call. A failing gufunc fills
+its output with NaN and raises the invalid flag; ``_cholesky`` and
+``_sym_eigvals`` turn that NaN into typed errors, the callers of the others
+check it. The flag is silenced by one ``np.errstate(all="ignore")`` per unit
+of work, held by the caller: ``mvoe_sum``, a reach tube, ``affine_image``,
+``Ellipsoid`` construction, ``mvoe._shapes`` and ``oracles._whiten``. So no
+call leaks a ``RuntimeWarning``, and the caller's ``np.geterr()`` is
+restored on return and on raise. ``symmetrize`` is the one public function.
+``_umath_linalg`` is private numpy API, imported here only; its names and
+signatures are those ``np.linalg`` has called since numpy 1.22, and
+tests/test_linalg.py pins them to the wrappers.
 """
 
 import math
@@ -90,16 +91,17 @@ def _check_overflow(shape: np.ndarray) -> None:
         raise EllipsumError("shape matrix has non-finite entries (overflow)")
 
 
-def _cholesky(m: np.ndarray) -> np.ndarray:
+def _cholesky(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor L with L @ L.T == m, of a float64 array, read
     from its lower triangle. Where LAPACK fails, an ``m`` that is not finite
     (an overflow) raises ``_check_overflow``'s EllipsumError, any other
-    NotPositiveDefinite."""
+    NotPositiveDefinite naming ``name`` and the failing pivot."""
     lower = _umath_linalg.cholesky_lo(m, signature="d->d")
     if _finite(lower):
         return lower
     _check_overflow(m)
-    raise NotPositiveDefinite(_failing_pivot(m))
+    pivot = _failing_pivot(m)
+    raise NotPositiveDefinite(pivot, f"{name} is not positive definite (pivot {pivot})")
 
 
 def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -128,13 +130,15 @@ def _lower_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _sym_eigvals(m: np.ndarray) -> list[float]:
-    """Eigenvalues of a symmetric float64 array, ascending, as Python
-    floats, without eigenvectors.
+    """Eigenvalues of a whitened shape, a symmetric float64 array that is
+    positive definite in exact arithmetic, ascending, as Python floats,
+    without eigenvectors.
 
     Backed by LAPACK's symmetric eigensolver; only the lower triangle is
     read. Non-finite input, a LAPACK failure and non-finite output each
-    raise NoConvergence. The output is checked on the list, which the
-    root solver reads anyway.
+    raise NoConvergence; a smallest eigenvalue that rounds to <= 0, a ratio
+    beyond what double precision resolves, raises NotPositiveDefinite. The
+    output is checked on the list, which the root solver reads anyway.
     """
     # the eigensolver returns finite values for some non-finite input
     if not _finite(m):
@@ -143,6 +147,12 @@ def _sym_eigvals(m: np.ndarray) -> list[float]:
     # a LAPACK failure fills the output with NaN
     if not all(map(math.isfinite, values)):
         raise NoConvergence("symmetric eigensolver failed or met non-finite values")
+    if values[0] <= 0.0:
+        raise NotPositiveDefinite(
+            0,
+            f"whitened spectrum is not resolvable in double precision: its smallest eigenvalue "
+            f"rounded to {values[0]:.3e} <= 0 (largest {values[-1]:.3e})",
+        )
     return values
 
 

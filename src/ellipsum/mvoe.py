@@ -17,7 +17,9 @@ bracket, one code path for every dimension. The paper's two iterations stay
 available as reference methods: a bracketed bisection specialized to
 dimension 2, and a fixed-point iteration that works in any dimension. A
 closed form exists when minimizing the trace instead of the volume. Sums of
-more than two ellipsoids are handled by a pairwise left fold.
+more than two ellipsoids are handled by a pairwise left fold. The solver
+takes the spectrum by its own whitening, ``_whitened_spectrum``, and the
+oracles by theirs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     InvalidWeights,
     MaxIterationsExceeded,
     NonPositiveBeta,
-    NotPositiveDefinite,
 )
 
 #: each settable method and the name that its results report
@@ -118,11 +119,13 @@ class OptimalityPolynomial:
         return float(np.polyval(self.coeffs, beta))
 
 
-def _shapes(mats, size: int | None = None) -> list[np.ndarray]:
-    """The raw shape matrices ``mats`` as float arrays, by the one input rule
-    of every public function that takes them: DimensionMismatch unless each
-    is ``size`` x ``size`` (default: the first one's rows), then the ValueError
-    of ``linalg._check_symmetric``. Nothing is averaged: accepted input keeps its bits."""
+def _shapes(mats, size: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The raw shape matrices ``mats`` as float arrays, each with its lower
+    Cholesky factor, by the one input rule of every public function that
+    takes them: DimensionMismatch unless each is ``size`` x ``size`` (default:
+    the first one's rows), then, naming the matrix, the ValueError of
+    ``linalg._check_symmetric`` and the NotPositiveDefinite of its factoring.
+    Nothing is averaged: accepted input keeps its bits."""
     out = [np.asarray(q, dtype=float) for q in mats]
     if size is None:
         size = out[0].shape[0] if out[0].ndim else 0
@@ -130,7 +133,8 @@ def _shapes(mats, size: int | None = None) -> list[np.ndarray]:
         if q.shape != (size, size):
             raise DimensionMismatch(f"shape matrix {k} has shape {q.shape}, expected ({size}, {size})")
         linalg._check_symmetric(q, f"shape matrix {k}")
-    return out
+    with np.errstate(all="ignore"):
+        return [(q, linalg._cholesky(q, f"shape matrix {k}")) for k, q in enumerate(out)]
 
 
 def _spectrum(lam) -> np.ndarray:
@@ -159,7 +163,7 @@ def _positive_beta(beta) -> float:
 
 def q_of_beta(Q1, Q2, beta: float) -> np.ndarray:
     """Outer shape matrix (1 + 1/beta) Q1 + (1 + beta) Q2 for beta > 0."""
-    a, b = _shapes((Q1, Q2))
+    (a, _), (b, _) = _shapes((Q1, Q2))
     return _q_of_beta(a, b, _positive_beta(beta))
 
 
@@ -176,22 +180,25 @@ def q_of_direction(shapes, direction) -> np.ndarray:
     Returns (sum_k sqrt(l'Q_k l)) * sum_k Q_k / sqrt(l'Q_k l) for the unit
     vector l. The resulting ellipsoid touches the Minkowski sum in the
     parameterizing direction: sqrt(l'Q(l)l) equals sum_k sqrt(l'Q_k l)
-    exactly. No shapes raise EmptyInput, and a support l'Q_k l that is not
-    positive and finite ValueError naming k.
+    exactly. No shapes raise EmptyInput, a support l'Q_k l that is not
+    positive and finite ValueError naming k, and a result that overflows
+    ``linalg._check_overflow``'s EllipsumError.
     """
     shapes = list(shapes)
     if not shapes:
         raise EmptyInput("need at least one shape matrix")
     u = unit_direction(direction)
-    mats = _shapes(shapes, u.shape[0])
+    mats = [q for q, _ in _shapes(shapes, u.shape[0])]
     with np.errstate(all="ignore"):
         supports = [float(u @ q @ u) for q in mats]
-    roots = []
-    for k, support in enumerate(supports):
-        if not 0.0 < support < math.inf:
-            raise ValueError(f"shape matrix {k} has support l'Q l = {support:.3e}, not positive and finite")
-        roots.append(math.sqrt(support))
-    return sum(roots) * sum(q / r for q, r in zip(mats, roots))
+        roots = []
+        for k, support in enumerate(supports):
+            if not 0.0 < support < math.inf:
+                raise ValueError(f"shape matrix {k} has support l'Q l = {support:.3e}, not positive and finite")
+            roots.append(math.sqrt(support))
+        out = sum(roots) * sum(q / r for q, r in zip(mats, roots))
+    linalg._check_overflow(out)
+    return out
 
 
 def q_of_alpha(shapes, alpha) -> np.ndarray:
@@ -206,49 +213,18 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
         raise InvalidWeights(f"{len(shapes)} shapes but {w.shape[0]} weights")
     if not (linalg._finite(w) and (w > 0.0).all()) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidWeights("weights must be positive, finite and sum to 1")
-    return sum(q / a for q, a in zip(_shapes(shapes), w))
+    return sum(q / a for (q, _), a in zip(_shapes(shapes), w))
 
 
 def _whitened_spectrum(factor: np.ndarray, pulled: np.ndarray) -> list[float]:
     """Eigenvalues, ascending and as Python floats, of the exactly symmetric
     Gram matrix X X' of the solution X of L X = P, L the lower Cholesky
-    factor of Q1 and P P' = Q2: the spectrum of Q1^{-1} Q2. X comes from
-    the blocked triangular solve, so no inverse larger than a diagonal block
-    is formed, and no eigenvectors are. Runs inside the caller's
-    np.errstate(all="ignore").
-
-    L and P are factors, so the spectrum is positive in exact arithmetic.
-    A smallest eigenvalue that rounds to <= 0 means the eigenvalue ratio is
-    beyond what double precision resolves in the Gram form; it raises
-    NotPositiveDefinite with the smallest and largest values.
+    factor of Q1 and P P' = Q2: the spectrum of Q1^{-1} Q2, positive in
+    exact arithmetic. X comes from the blocked triangular solve, so no
+    inverse larger than a diagonal block is formed, and no eigenvectors
+    are. Runs inside the caller's np.errstate(all="ignore").
     """
-    values = linalg._sym_eigvals(_gram(linalg._lower_solve(factor, pulled)))
-    if values[0] <= 0.0:
-        raise NotPositiveDefinite(
-            0,
-            f"whitened spectrum is not resolvable in double precision: its smallest eigenvalue "
-            f"rounded to {values[0]:.3e} <= 0 (largest {values[-1]:.3e})",
-        )
-    return values
-
-
-def generalized_spectrum(Q1, Q2) -> np.ndarray:
-    """Positive eigenvalues of Q1^{-1} Q2, ascending.
-
-    Both shapes are factored, Qi = Li Li', and the eigenvalues are those of
-    the Gram matrix X X' of the factor quotient X = L1^{-1} L2 (by a
-    triangular solve with L1), which has the same spectrum and keeps the
-    eigenproblem symmetric (Golub & Van Loan, Matrix Computations, 8.7).
-    This is the route the pair step takes. Only the eigenvalues are
-    computed.
-    """
-    return _generalized_spectrum(*_shapes((Q1, Q2)))
-
-
-def _generalized_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``generalized_spectrum`` of shapes that a public call has checked."""
-    with np.errstate(all="ignore"):
-        return np.array(_whitened_spectrum(linalg._cholesky(a), linalg._cholesky(b)))
+    return linalg._sym_eigvals(_gram(linalg._lower_solve(factor, pulled)))
 
 
 def optimality_residual(lam, beta: float) -> float:

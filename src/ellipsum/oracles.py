@@ -1,19 +1,15 @@
-"""Brute-force verification oracles.
+"""Brute-force verification oracles, independent of the solver's arithmetic.
 
-Four legs are independent of the solver: the closed-form derivative of log
-det Q(beta) by whitened ``np.linalg`` solves, its finite difference and the
-golden-section search in log beta, both on numpy's ``slogdet``, and
-containment by sampled support functions. Three parts read the spectrum of
-Q1^{-1} Q2 from ``generalized_spectrum``, the solver's own whitening: the
-stationarity check's spectral leg and the consistency identity, which
-therefore cannot catch an error in it, and the search's bracket, which is
-widened so that such an error cannot exclude the minimizer.
-``pair_step_checks`` certifies one pair step by the stationarity,
-consistency and volume-agreement reports on one such spectrum; ``check``
-runs it on each pair step and ``containment_check`` on its output. Each
+The oracles whiten a pair by their own route, ``_whiten`` (W = L1^{-1} Q2
+L1^{-T} by ``np.linalg`` solves). Every leg that needs the spectrum of
+Q1^{-1} Q2 reads that W: the closed-form and spectral derivatives of log
+det Q(beta), the consistency identity and the bracket of the golden-section
+search on numpy's ``slogdet``. ``pair_step_checks`` certifies one pair step
+on one whitening; ``check`` runs it on each pair step and
+``containment_check``, on sampled support functions, on its output. Each
 oracle that takes a beta raises NonPositiveBeta unless it is positive and
-finite, and each that takes shape matrices checks them once, by
-``mvoe._shapes``, not again inside the search or a check.
+finite, and each that takes shape matrices checks and factors them once,
+by ``mvoe._shapes``, not again inside the search or a check.
 """
 
 from __future__ import annotations
@@ -26,7 +22,8 @@ import numpy as np
 
 from .ellipsoid import Ellipsoid, _log_unit_ball_volume
 from .errors import DimensionMismatch
-from .mvoe import _generalized_spectrum, _positive_beta, _q_of_beta, _shapes, _spectrum
+from .linalg import _sym_eigvals
+from .mvoe import _positive_beta, _q_of_beta, _shapes, _spectrum
 from .mvoe import logdet_curvature, optimality_residual
 
 #: absolute support-function slack for containment checks; a report's
@@ -71,10 +68,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
-# widening of the spectral bracket on each side, in log beta: the spectrum
-# comes from the same whitening the solver uses, so an inaccurate one must
-# not exclude the true minimizer; log det Q(beta) has a single minimum in
-# log beta, so any interval holding it is valid
+# widening of the spectral bracket on each side, in log beta: a computed
+# spectrum is off by up to about d eps sqrt(cond(Q1)) lambda_max, so an
+# inaccurate one must not exclude the true minimizer; log det Q(beta) has a
+# single minimum in log beta, so any interval holding it is valid
 _BRACKET_PAD = 1.0
 
 
@@ -104,6 +101,25 @@ def _logdet_q(Q1: np.ndarray, Q2: np.ndarray, beta: float) -> float:
     return value if sign > 0.0 else math.inf
 
 
+def _whiten(factor: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The oracles' whitening of a pair: the exactly symmetric W = L1^{-1} Q2
+    L1^{-T}, L1 = ``factor`` the lower Cholesky factor of Q1, by two
+    ``np.linalg.solve`` calls against Q2 itself, and its eigenvalues."""
+    with np.errstate(all="ignore"):
+        x = np.linalg.solve(factor, q2)
+        w = np.linalg.solve(factor, x.T).T
+        w = 0.5 * (w + w.T)
+        return w, _sym_eigvals(w)
+
+
+def generalized_spectrum(Q1, Q2) -> np.ndarray:
+    """Positive eigenvalues of Q1^{-1} Q2, ascending: the oracles' spectrum,
+    that of the whitened W = L1^{-1} Q2 L1^{-T}, Q1 = L1 L1', which keeps the
+    eigenproblem symmetric (Golub & Van Loan, Matrix Computations, 8.7)."""
+    (_, factor), (b, _) = _shapes((Q1, Q2))
+    return np.array(_whiten(factor, b)[1])
+
+
 def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
     """Locate the volume-minimizing beta by direct scalar search.
 
@@ -117,11 +133,11 @@ def golden_section_beta(Q1, Q2, tol: float) -> tuple[float, float]:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    a, b = _shapes((Q1, Q2))
-    return _golden_section(a, b, _generalized_spectrum(a, b), tol)
+    (a, factor), (b, _) = _shapes((Q1, Q2))
+    return _golden_section(a, b, _whiten(factor, b)[1], tol)
 
 
-def _golden_section(a: np.ndarray, b: np.ndarray, lam: np.ndarray, tol: float) -> tuple[float, float]:
+def _golden_section(a: np.ndarray, b: np.ndarray, lam: list[float], tol: float) -> tuple[float, float]:
     """The search of ``golden_section_beta`` on the spectrum ``lam`` of
     a^{-1} b; ``tol`` is positive."""
     lo = -0.5 * math.log(lam[-1]) - _BRACKET_PAD
@@ -249,18 +265,15 @@ def logdet_derivative(Q1, Q2, beta: float) -> float:
     """Closed-form d/dbeta log det Q(beta) via whitened solves:
 
     -1/(beta (1+beta)) * trace((I + beta R)^{-1} (I - beta^2 R)),
-    R = Q1^{-1} Q2, evaluated on the symmetric whitened form of R.
+    R = Q1^{-1} Q2, evaluated on its symmetric whitened form W of ``_whiten``.
     """
     beta = _positive_beta(beta)
-    return _logdet_derivative(*_shapes((Q1, Q2)), beta)
+    (_, factor), (b, _) = _shapes((Q1, Q2))
+    return _logdet_derivative(_whiten(factor, b)[0], beta)
 
 
-def _logdet_derivative(a: np.ndarray, b: np.ndarray, beta: float) -> float:
-    L = np.linalg.cholesky(a)
-    x = np.linalg.solve(L, b)
-    w = np.linalg.solve(L, x.T).T
-    w = 0.5 * (w + w.T)
-    eye = np.eye(a.shape[0])
+def _logdet_derivative(w: np.ndarray, beta: float) -> float:
+    eye = np.eye(w.shape[0])
     inner = np.linalg.solve(eye + beta * w, eye - beta * beta * w)
     return -float(np.trace(inner)) / (beta * (1.0 + beta))
 
@@ -268,7 +281,8 @@ def _logdet_derivative(a: np.ndarray, b: np.ndarray, beta: float) -> float:
 def logdet_derivative_fd(Q1, Q2, beta: float) -> float:
     """Central finite difference of log det Q(beta) with step FD_REL_STEP * beta."""
     beta = _positive_beta(beta)
-    return _logdet_derivative_fd(*_shapes((Q1, Q2)), beta)
+    (a, _), (b, _) = _shapes((Q1, Q2))
+    return _logdet_derivative_fd(a, b, beta)
 
 
 def _logdet_derivative_fd(a: np.ndarray, b: np.ndarray, beta: float) -> float:
@@ -276,12 +290,12 @@ def _logdet_derivative_fd(a: np.ndarray, b: np.ndarray, beta: float) -> float:
     return (_logdet_q(a, b, beta + h) - _logdet_q(a, b, beta - h)) / (2.0 * h)
 
 
-def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) -> CheckReport:
+def _stationarity(a: np.ndarray, b: np.ndarray, w: np.ndarray, lam: list[float], beta: float) -> CheckReport:
     """Triangulate three evaluations of d/dbeta log det Q(beta) at ``beta``:
 
-    (a) the closed form via whitened solves, (b) a central finite
-    difference, (c) the sum over ``lam``, the spectrum of a^{-1} b, scaled
-    by -1/(beta (1+beta)); only (a) and (b) are independent of the solver.
+    (a) the closed form on ``w``, the whitened b of ``_whiten``, (b) a
+    central finite difference, (c) the sum over ``lam``, the eigenvalues of
+    ``w``, scaled by -1/(beta (1+beta)); none reads the solver's spectrum.
     The check passes when the three agree pairwise within DERIVATIVE_RTOL
     and all three, times ``beta``, are below STATIONARY_TOL in magnitude,
     i.e. ``beta`` really is a stationary point. That product is the
@@ -300,7 +314,7 @@ def _stationarity(a: np.ndarray, b: np.ndarray, lam: np.ndarray, beta: float) ->
     """
     if _beyond_float_range(lam, beta, max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))):
         return _not_evaluated("stationarity", 3, beta)
-    closed = _logdet_derivative(a, b, beta)
+    closed = _logdet_derivative(w, beta)
     fd = _logdet_derivative_fd(a, b, beta)
     spectral = -optimality_residual(lam, beta) / (beta * (1.0 + beta))
 
@@ -366,12 +380,12 @@ def pair_step_checks(Q1, Q2, beta: float, log_volume: float) -> list[CheckReport
     Returns the ``stationarity`` and ``consistency`` reports at ``beta`` and
     a ``volume_agreement`` report, which passes when ``log_volume`` is within
     VOLUME_AGREEMENT_RTOL of the golden-section oracle's (tolerance 1e-9 in
-    log beta). The three share one generalized spectrum of Q1^{-1} Q2.
+    log beta). The three share one whitening of the pair, by ``_whiten``.
     """
     beta = _positive_beta(beta)
-    a, b = _shapes((Q1, Q2))
-    lam = _generalized_spectrum(a, b)
-    reports = [_stationarity(a, b, lam, beta), consistency_checks(lam, beta)]
+    (a, factor), (b, _) = _shapes((Q1, Q2))
+    w, lam = _whiten(factor, b)
+    reports = [_stationarity(a, b, w, lam, beta), consistency_checks(lam, beta)]
     _, oracle_log_volume = _golden_section(a, b, lam, 1e-9)
     diff = abs(log_volume - oracle_log_volume)
     reports.append(

@@ -471,24 +471,29 @@ class TestCheck:
         assert "claim.beta" in captured.err and "K = 3" in captured.err
 
     def test_one_spectrum_per_solve_and_per_certificate(self, tmp_path, capsys, monkeypatch):
-        # K = 4: three pair solves and three certificates, one whitened
-        # spectrum each
-        from ellipsum import mvoe
+        # K = 4: three pair solves, one solver spectrum each, and three
+        # certificates, one oracle whitening each
+        from ellipsum import mvoe, oracles
 
         calls = []
-        whitened_spectrum = mvoe._whitened_spectrum
 
-        def counted(*args):
-            calls.append(1)
-            return whitened_spectrum(*args)
+        def counting(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(mvoe, "_whitened_spectrum", counted)
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(mvoe, "_whitened_spectrum")
+        counting(oracles, "_whiten")
         rng = np.random.default_rng(117)
         parts = [random_ellipsoid(rng, 3).to_dict() for _ in range(4)]
         inp = write_problem(tmp_path / "p.json", {"version": "1", "dimension": 3, "ellipsoids": parts})
         assert main(["check", inp]) == 0
         assert len(json.loads(capsys.readouterr().out)["reports"]) == 1 + 3 * 3
-        assert len(calls) == 6
+        assert sorted(calls) == ["_whiten"] * 3 + ["_whitened_spectrum"] * 3
 
     def test_certifies_the_fold_that_sum_writes(self, tmp_path, capsys, monkeypatch):
         # check folds with mvoe_sum, as sum does, and re-forms each earlier

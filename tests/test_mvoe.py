@@ -33,7 +33,7 @@ from ellipsum import (
     solve_beta_fixed_point,
     unit_direction,
 )
-from ellipsum import linalg
+from ellipsum import linalg, mvoe
 from ellipsum.mvoe import _fixed_point_map, _newton, _trace_ratio
 from ellipsum.oracles import logdet_derivative, logdet_derivative_fd
 
@@ -164,23 +164,33 @@ class TestParameterizations:
             q_of_direction(shapes, direction)
 
     @pytest.mark.parametrize(
-        "bad, match",
+        "bad, error, match",
         [
-            (np.zeros((2, 2)), "has support"),
-            (-np.eye(2), "has support"),
-            (np.full((2, 2), math.nan), "has non-finite entries"),
-            (1e308 * np.ones((2, 2)), "has support"),
+            (np.zeros((2, 2)), NotPositiveDefinite, "is not positive definite"),
+            (-np.eye(2), NotPositiveDefinite, "is not positive definite"),
+            (np.full((2, 2), math.nan), ValueError, "has non-finite entries"),
+            (1e308 * np.ones((2, 2)), NotPositiveDefinite, "is not positive definite"),
+            (np.array([[1.7e308, 1.6e308], [1.6e308, 1.7e308]]), ValueError, "has support"),
         ],
-        ids=["zero", "negative", "nan", "overflow"],
+        ids=["zero", "negative", "nan", "overflow", "support-overflow"],
     )
-    def test_q_of_direction_rejects_a_support_that_is_not_positive_and_finite(self, bad, match):
+    def test_q_of_direction_rejects_a_support_that_is_not_positive_and_finite(self, bad, error, match):
         # l'Q_k l divides the shape; a zero, negative or overflowing support
-        # raises, naming k, before any division can warn or return NaN; a
-        # NaN shape fails the input check first
+        # raises, naming k, before any division can warn or return NaN. A
+        # NaN, a semidefinite or an indefinite shape fails the input check
+        # first; the last shape is positive definite, its support overflows
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ValueError, match=f"shape matrix 1 {match}"):
+            with pytest.raises(error, match=f"shape matrix 1 {match}"):
                 q_of_direction([np.eye(2), bad], [1.0, 1.0])
+        assert caught == []
+
+    def test_q_of_direction_reports_an_overflowing_result(self):
+        # both supports are finite, the assembled shape is not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EllipsumError, match=r"non-finite entries \(overflow\)"):
+                q_of_direction([1e308 * np.eye(2)] * 2, [1.0, 0.0])
         assert caught == []
 
     def test_q_of_direction_checks_emptiness_first(self):
@@ -235,6 +245,8 @@ BAD_RAW_SHAPES = {
     "asymmetric": (np.array([[1.0, 5.0], [0.0, 1.0]]), ValueError),
     # m - m' overflows; the check takes the asymmetry on halves
     "asymmetric-huge": (np.array([[1.0, 1e308], [-1e308, 1.0]]), ValueError),
+    "indefinite": (-np.eye(2), NotPositiveDefinite),
+    "singular": (np.zeros((2, 2)), NotPositiveDefinite),
 }
 
 
@@ -281,20 +293,21 @@ class TestGeneralizedSpectrum:
 
     @pytest.mark.parametrize("log_range, bound", [(1.0, 1e-12), (2.0, 1e-9)])
     def test_matches_scipy_no_worse_than_full_inverse_and_eigh(self, log_range, bound):
-        # the values-only spectrum on a triangular inverse, and the same
-        # whitening by np.linalg.inv and eigh, read against scipy's
-        # generalized symmetric eigensolver. Each route whitens by the
-        # factor L1 (cond(L1) = sqrt(cond(Q1))) with an error of about
+        # the pair step's values-only spectrum on a triangular inverse, the
+        # same whitening by np.linalg.inv and eigh, and the oracles'
+        # generalized_spectrum, read against scipy's generalized symmetric
+        # eigensolver. Each route whitens by the factor L1
+        # (cond(L1) = sqrt(cond(Q1))) with an error of about
         # d eps cond(L1) ||W|| and then solves the symmetric W stably, so by
         # Weyl's theorem every eigenvalue is off by at most about
-        # d eps sqrt(cond(Q1)) lambda_max; the kernel is held to that bound,
-        # which the inv + eigh route also meets. The ratio of the two
-        # routes' sampled errors is not a bound: it moves with the BLAS
-        # summation order, i.e. with the thread count.
+        # d eps sqrt(cond(Q1)) lambda_max; the kernel and the oracles are
+        # held to that bound, which the inv + eigh route also meets. The
+        # ratio of the routes' sampled errors is not a bound: it moves with
+        # the BLAS summation order, i.e. with the thread count.
         sl = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(760)
         eps = np.finfo(float).eps
-        worst = worst_scaled = worst_reference_scaled = 0.0
+        worst = worst_scaled = worst_reference_scaled = worst_oracle_scaled = 0.0
         for dim in (40, 100, 200):
             q1 = spd_matrix(rng, dim, -log_range, log_range)
             q2 = spd_matrix(rng, dim, -log_range, log_range)
@@ -302,25 +315,29 @@ class TestGeneralizedSpectrum:
             s_inv = np.linalg.inv(np.linalg.cholesky(q1))
             w = s_inv @ q2 @ s_inv.T
             reference = np.linalg.eigh(0.5 * (w + w.T))[0]
-            lam = generalized_spectrum(q1, q2)
+            with np.errstate(all="ignore"):
+                lam = np.array(mvoe._whitened_spectrum(linalg._cholesky(q1), linalg._cholesky(q2)))
+            oracle = generalized_spectrum(q1, q2)
             roundoff = dim * eps * math.sqrt(np.linalg.cond(q1)) * expected[-1]
             worst = max(worst, np.max(np.abs(lam - expected) / expected))
             worst_scaled = max(worst_scaled, np.max(np.abs(lam - expected)) / roundoff)
             worst_reference_scaled = max(worst_reference_scaled, np.max(np.abs(reference - expected)) / roundoff)
+            worst_oracle_scaled = max(worst_oracle_scaled, np.max(np.abs(oracle - expected)) / roundoff)
         assert worst <= bound
-        assert max(worst_scaled, worst_reference_scaled) <= 1.0
+        assert max(worst_scaled, worst_reference_scaled, worst_oracle_scaled) <= 1.0
 
 
     @pytest.mark.parametrize("dim", [1, 2, 6, 40])
     def test_is_the_pair_step_route(self, dim):
         # the scipy comparison above reads the pair step's own spectrum only
-        # while both take it the same way: the betas agree bit for bit
+        # while the kernel it calls is the pair step's: the betas agree bit
+        # for bit
         rng = np.random.default_rng(770 + dim)
         for _ in range(10):
             e1 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
             e2 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
-            lam = generalized_spectrum(e1.shape, e2.shape)
-            assert mvoe_pair(e1, e2).beta == _newton(lam.tolist(), SolverOptions())[0]
+            lam = mvoe._whitened_spectrum(e1.factor, e2.factor)
+            assert mvoe_pair(e1, e2).beta == _newton(lam, SolverOptions())[0]
 
 
 class TestOptimalityResidual:
@@ -732,7 +749,8 @@ class TestReportedResidual:
     @pytest.mark.parametrize("method", ["auto", "bisection", "fixed_point", "trace"])
     def test_matches_numpy_residual_at_returned_beta(self, method):
         # the solve reports |r(beta)| from its own scalar loop; it must agree
-        # with the public numpy evaluation at the beta it returns
+        # with the public numpy evaluation, over the solve's own spectrum, at
+        # the beta it returns
         rng = np.random.default_rng(1230)
         opts = SolverOptions(method=method)
         worst = 0.0
@@ -741,7 +759,7 @@ class TestReportedResidual:
             e1 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
             e2 = random_ellipsoid(rng, dim, log_lo=-3.0, log_hi=3.0)
             result = mvoe_pair(e1, e2, opts)
-            expected = abs(optimality_residual(generalized_spectrum(e1.shape, e2.shape), result.beta))
+            expected = abs(optimality_residual(mvoe._whitened_spectrum(e1.factor, e2.factor), result.beta))
             worst = max(worst, abs(result.residual - expected) / (1.0 + expected))
         assert worst <= 1e-12
 

@@ -83,12 +83,16 @@ class TestGoldenSection:
         assert abs(log_volume - expected) < 1e-8
 
     def test_inaccurate_spectrum_does_not_pin_the_search(self, monkeypatch):
-        # the bracket comes from the solver's whitening; a spectrum 50 %
-        # off moves a one-point bracket by 0.2 in log beta, and the search
-        # must still find the true minimizer at beta = 1/2
-        from ellipsum import oracles
+        # the bracket comes from a computed spectrum; one 50 % off moves a
+        # one-point bracket by 0.2 in log beta, and the search must still
+        # find the true minimizer at beta = 1/2
+        whiten = oracles._whiten
 
-        monkeypatch.setattr(oracles, "_generalized_spectrum", lambda a, b: 1.5 * generalized_spectrum(a, b))
+        def inaccurate(factor, q2):
+            w, lam = whiten(factor, q2)
+            return w, [1.5 * value for value in lam]
+
+        monkeypatch.setattr(oracles, "_whiten", inaccurate)
         q1 = np.diag([1.0, 3.0])
         beta_gs, _ = golden_section_beta(q1, 4.0 * q1, 1e-9)
         assert abs(beta_gs - 0.5) < 1e-3
@@ -309,7 +313,7 @@ class TestStationarity:
         # is not at fault: against a 60-digit derivative at the solver's
         # beta it errs by at most 0.79 eps cond(Q(beta)) / beta there; the
         # solver's beta is off the root by up to 4.8e-7 (relative), through
-        # its Gram-form spectrum, which the spectral leg shares
+        # its Gram-form spectrum
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(7)
 
@@ -358,6 +362,23 @@ class TestConsistency:
             beta, _ = solve_beta_fixed_point(lam, 1.0)
             report = consistency_checks(lam, beta)
             assert report.passed, report.details
+
+    def test_fails_the_root_of_a_wrong_solver_spectrum(self, monkeypatch):
+        # the oracles whiten by their own route: a solver spectrum 50 % off
+        # gives a beta off the root by a factor sqrt(1.5), which consistency
+        # fails, and leaves the oracles' spectrum as it was
+        from ellipsum import mvoe
+
+        rng = np.random.default_rng(89)
+        e1, e2 = random_ellipsoid(rng, 3), random_ellipsoid(rng, 3)
+        lam = generalized_spectrum(e1.shape, e2.shape)
+        whitened_spectrum = mvoe._whitened_spectrum
+        monkeypatch.setattr(mvoe, "_whitened_spectrum", lambda *args: [1.5 * v for v in whitened_spectrum(*args)])
+        result = mvoe_pair(e1, e2)
+        reports = pair_step_checks(e1.shape, e2.shape, result.beta, result.ellipsoid.log_volume())
+        failed = [report.name for report in reports if not report.passed]
+        assert failed == ["stationarity", "consistency", "volume_agreement"]
+        assert np.array_equal(generalized_spectrum(e1.shape, e2.shape), lam)
 
     def test_json_round_trip(self):
         report = consistency_checks(np.ones(3), 1.0)

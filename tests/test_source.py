@@ -263,8 +263,14 @@ def test_reach_enters_one_errstate():
 
 #: every public function that takes raw shape matrices, by module
 RAW_SHAPE_ENTRY_POINTS = {
-    "mvoe.py": ["q_of_beta", "generalized_spectrum", "q_of_direction", "q_of_alpha"],
-    "oracles.py": ["golden_section_beta", "pair_step_checks", "logdet_derivative", "logdet_derivative_fd"],
+    "mvoe.py": ["q_of_beta", "q_of_direction", "q_of_alpha"],
+    "oracles.py": [
+        "generalized_spectrum",
+        "golden_section_beta",
+        "pair_step_checks",
+        "logdet_derivative",
+        "logdet_derivative_fd",
+    ],
 }
 
 
@@ -302,3 +308,30 @@ def test_one_finiteness_test_of_arrays():
         if isinstance(node, ast.Attribute) and node.attr == "isfinite" and getattr(node.value, "id", None) == "np"
     ]
     assert found == [("linalg.py", "_finite")]
+
+
+def test_oracles_whiten_by_their_own_route():
+    # the oracles' spectrum is not the solver's: _whitened_spectrum, the
+    # chain's kernel, is named in mvoe.py alone, oracles.py imports no
+    # spectrum route from mvoe, and every raw shape is factored by
+    # linalg._cholesky, in mvoe._shapes, not by np.linalg.cholesky
+    assert _modules_naming("_whitened_spectrum") == ["mvoe.py"]
+    tree = ast.parse((SOURCE / "oracles.py").read_text())
+    from_mvoe = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mvoe"
+        for alias in node.names
+    }
+    assert from_mvoe & {"_whitened_spectrum", "generalized_spectrum", "_generalized_spectrum", "_chain"} == set()
+    for path in sorted(SOURCE.glob("*.py")):
+        assert "np.linalg.cholesky" not in path.read_text(), path.name
+
+
+def test_one_positivity_rule_for_a_whitened_spectrum():
+    # a whitened spectrum that rounds to <= 0 is reported by
+    # linalg._sym_eigvals, which the solver's and the oracles' whitenings
+    # both call
+    message = "not resolvable in double precision"
+    assert [path.name for path in sorted(SOURCE.glob("*.py")) if message in path.read_text()] == ["linalg.py"]
+    assert _modules_naming("_sym_eigvals") == ["mvoe.py", "oracles.py"]
