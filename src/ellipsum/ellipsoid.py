@@ -41,11 +41,6 @@ def unit_direction(vector) -> np.ndarray:
     return u / norm
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Ellipsoid with center ``center`` and SPD shape matrix ``shape``.
@@ -202,14 +197,3 @@ def affine_image(ell: Ellipsoid, matrix) -> Ellipsoid:
         parts = (f @ center, shape, lower)
     return Ellipsoid._trusted(parts)
 
-
-def _lift(q: np.ndarray, eps: float) -> np.ndarray:
-    """Regularize a symmetric PSD ``q``, which is not validated, to a PD
-    matrix: q + eps * max(trace(q)/d, 1) * I. With eps = 0 this is the
-    identity; rank-deficient shapes (e.g. from tall input maps) need a small
-    positive eps. An eps that is negative or not finite raises ValueError."""
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError("eps must be nonnegative and finite")
-    d = q.shape[0]
-    trace_scale = max(float(np.trace(q)) / d, 1.0)
-    return q + (eps * trace_scale) * np.eye(d)

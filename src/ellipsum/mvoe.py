@@ -151,9 +151,9 @@ def _positive_beta(beta) -> float:
     """``beta`` as a float, or NonPositiveBeta unless it is positive and
     finite: the one beta check of ``q_of_beta``, the scalar spectrum
     helpers, ``solve_beta_fixed_point``'s start and the oracles. A beta
-    that is not a real number, such as None or a string, raises it too."""
+    that is not a real number (None, a string, a bool) raises it too."""
     try:
-        valid = math.isfinite(beta) and beta > 0.0
+        valid = not isinstance(beta, bool) and math.isfinite(beta) and beta > 0.0
     except TypeError:
         valid = False
     if not valid:
@@ -204,8 +204,8 @@ def q_of_direction(shapes, direction) -> np.ndarray:
 def q_of_alpha(shapes, alpha) -> np.ndarray:
     """Weight-parameterized outer shape sum_k Q_k / alpha_k.
 
-    The weights must be positive, finite and sum to one, or InvalidWeights
-    is raised.
+    The weights must be positive, finite and sum to one (InvalidWeights); a
+    result that overflows raises ``linalg._check_overflow``'s EllipsumError.
     """
     shapes = list(shapes)
     w = np.asarray(alpha, dtype=float).reshape(-1)
@@ -213,7 +213,10 @@ def q_of_alpha(shapes, alpha) -> np.ndarray:
         raise InvalidWeights(f"{len(shapes)} shapes but {w.shape[0]} weights")
     if not (linalg._finite(w) and (w > 0.0).all()) or abs(float(np.sum(w)) - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidWeights("weights must be positive, finite and sum to 1")
-    return sum(q / a for (q, _), a in zip(_shapes(shapes), w))
+    with np.errstate(all="ignore"):
+        out = sum(q / a for (q, _), a in zip(_shapes(shapes), w))
+    linalg._check_overflow(out)
+    return out
 
 
 def _whitened_spectrum(factor: np.ndarray, pulled: np.ndarray) -> list[float]:

@@ -18,22 +18,22 @@ coordinates of M, against a factor of M^{-1} Q_in M^{-T} for the stage's
 input image Q_in, so the mapped state is never factored. Only the tube
 entries become ``Ellipsoid``s, through ``Ellipsoid._trusted``, which
 rejects a center that overflowed. ``F`` and ``G`` are validated once per
-stage, and each stage keeps one chain step per direction and eps, derived
-on ``linalg``'s LAPACK kernels inside the tube's errstate, the only one
-this module enters; so both directions need an invertible F, and F^{-1} is
-formed only inside a backward step. A tube is a tuple of ellipsoids; one
-step is the tube over one stage, ``propagate_forward(x, [stage])[1]``.
+stage; a tube checks eps once and derives one chain step per distinct
+stage object, on ``linalg``'s LAPACK kernels inside its errstate, the only
+one this module enters. Both directions need an invertible F, and F^{-1}
+is formed only inside a backward step. A tube is a tuple of ellipsoids;
+one step is ``propagate_forward(x, [stage])[1]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .ellipsoid import Ellipsoid, _freeze, _gram, _lift
+from .ellipsoid import Ellipsoid, _gram
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap
 from .mvoe import _DEFAULT_OPTIONS, SolverOptions, _chain
 
@@ -51,17 +51,14 @@ _MAX_INVERSE_COND = float(np.finfo(float).eps) ** -0.5
 class LtiStage:
     """One time step of x+ = F x + G u with input set u in ``input_set``.
 
-    ``F`` and ``G`` are stored as read-only copies, so what propagation
-    derives from them, one chain step per direction and eps (the lifted
-    input image, its pulled-back factor and, backward, F^{-1}), is computed
-    on first use and kept with the stage: a tube that repeats one stage
-    pays for it once.
+    ``F`` and ``G`` are stored as read-only copies, and the stage holds
+    nothing else: each tube derives its step from a stage object once, so
+    a tube that repeats one stage pays for that once.
     """
 
     F: np.ndarray
     G: np.ndarray
     input_set: Ellipsoid
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         f = np.array(self.F, dtype=float)
@@ -86,38 +83,47 @@ class LtiStage:
 
     def _chain_step(self, eps: float, backward: bool):
         """This stage's step of ``mvoe._chain``: (M, the input image's center
-        and shape, M^{-1} L_in), M = F forward and F^{-1} backward, kept per
-        direction and eps. The input image is that of the input set under
-        N = G, or N = -F^{-1} G backward; its shape, the Gram matrix of N L_U
-        with L_U the input set's factor, is exactly symmetric and is lifted
-        and factored once into L_in. Forward, M^{-1} L_in is one LU solve
-        with F, and F^{-1} is never formed; backward it is F L_in, and
-        F^{-1}, the solve of F against I after the probe cond_2(F) <=
+        and shape, M^{-1} L_in), M = F forward and F^{-1} backward. The input
+        image is that of the input set under N = G, or N = -F^{-1} G
+        backward; its shape, the Gram matrix of N L_U with L_U the input
+        set's factor, is exactly symmetric and is lifted by the tube's
+        checked eps and factored once into L_in. Forward, M^{-1} L_in is one
+        LU solve with F, and F^{-1} is never formed; backward it is F L_in,
+        and F^{-1}, the solve of F against I after the probe cond_2(F) <=
         eps_machine^{-1/2}, is computed once per step and kept only in it.
         Both solves run on ``linalg._solve`` and raise SingularMap for a
-        singular F. An eps that is negative or not finite raises ValueError,
-        an overflowed shape EllipsumError and an input image that is not
-        positive definite, as with a tall G at eps = 0, NotPositiveDefinite
-        naming it and eps. Runs inside the tube's np.errstate(all="ignore")
-        and enters none of its own."""
-        key = (backward, eps)
-        if key not in self._derived:
-            inverse = _inverse_or_raise(self.F) if backward else None
-            mapping = -inverse @ self.G if backward else self.G
-            center, _, factor = self.input_set._parts
-            shape = _lift(_gram(mapping @ factor), eps)
-            try:
-                lower = linalg._cholesky(shape)
-            except NotPositiveDefinite as exc:
-                raise NotPositiveDefinite(
-                    exc.pivot,
-                    f"input image N U N' (N = {'-F^{-1} G' if backward else 'G'}) is not positive definite "
-                    f"(pivot {exc.pivot}) at eps = {eps!r}; an input map with fewer columns than rows "
-                    "needs eps > 0",
-                ) from exc
-            m, pulled = (inverse, self.F @ lower) if backward else (self.F, _solve_or_raise(self.F, lower))
-            self._derived[key] = (m, mapping @ center, shape, pulled)
-        return self._derived[key]
+        singular F. An overflowed shape raises EllipsumError and an input
+        image that is not positive definite, as with a tall G at eps = 0,
+        NotPositiveDefinite naming it and eps. Runs inside the tube's
+        np.errstate(all="ignore") and enters none of its own."""
+        inverse = _inverse_or_raise(self.F) if backward else None
+        mapping = -inverse @ self.G if backward else self.G
+        center, _, factor = self.input_set._parts
+        shape = _lift(_gram(mapping @ factor), eps)
+        try:
+            lower = linalg._cholesky(shape)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                exc.pivot,
+                f"input image N U N' (N = {'-F^{-1} G' if backward else 'G'}) is not positive definite "
+                f"(pivot {exc.pivot}) at eps = {eps!r}; an input map with fewer columns than rows "
+                "needs eps > 0",
+            ) from exc
+        m, pulled = (inverse, self.F @ lower) if backward else (self.F, _solve_or_raise(self.F, lower))
+        return m, mapping @ center, shape, pulled
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _lift(q: np.ndarray, eps: float) -> np.ndarray:
+    """The one lift of a symmetric PSD ``q``, not validated, by the tube's
+    checked eps: q + eps max(trace(q)/d, 1) I; eps = 0 is the identity."""
+    d = q.shape[0]
+    trace_scale = max(float(np.trace(q)) / d, 1.0)
+    return q + (eps * trace_scale) * np.eye(d)
 
 
 def _inverse_or_raise(f: np.ndarray) -> np.ndarray:
@@ -144,11 +150,17 @@ def _solve_or_raise(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _propagate(
     x: Ellipsoid, stages, backward: bool, eps: float, opts: SolverOptions | None
 ) -> tuple[Ellipsoid, ...]:
+    if isinstance(eps, bool) or not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be nonnegative and finite")
+    derived = {}  # one chain step per stage object; LtiStage compares by identity
+
     def steps():
         for stage in stages:
-            if stage.n != x.dim:
-                raise DimensionMismatch(f"set has dim {x.dim}, stage expects {stage.n}")
-            yield stage._chain_step(eps, backward)
+            if stage not in derived:
+                if stage.n != x.dim:
+                    raise DimensionMismatch(f"set has dim {x.dim}, stage expects {stage.n}")
+                derived[stage] = stage._chain_step(eps, backward)
+            yield derived[stage]
 
     tube = [x]
     with np.errstate(all="ignore"):

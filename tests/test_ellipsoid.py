@@ -15,7 +15,7 @@ from ellipsum import (
     affine_image,
     unit_direction,
 )
-from ellipsum.ellipsoid import _lift
+from ellipsum.reach import _lift
 
 
 def unit_disk():
@@ -39,6 +39,10 @@ class TestConstruction:
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Ellipsoid(np.zeros(3), np.eye(2))
+
+    def test_rejects_an_empty_shape(self):
+        with pytest.raises(ValueError, match="matrix dimension must be at least 1"):
+            Ellipsoid([], np.zeros((0, 0)))
 
     def test_accepts_huge_entries(self):
         e = Ellipsoid([0.0, 0.0], 1e308 * np.eye(2))
@@ -172,7 +176,8 @@ class TestAffineImage:
 
 
 class TestLiftDegenerate:
-    """The one lift, which propagation reaches through ``eps``."""
+    """The one lift, which propagation reaches through ``eps``; the tube
+    checks eps before any step (``test_reach.py::test_invalid_eps_rejected``)."""
 
     def test_zero_matrix(self):
         out = _lift(np.zeros((2, 2)), 1e-9)
@@ -192,15 +197,6 @@ class TestLiftDegenerate:
     def test_eps_zero_is_identity(self):
         m = spd_matrix(np.random.default_rng(3), 4)
         assert np.array_equal(_lift(m, 0.0), m)
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            _lift(np.eye(2), -1e-9)
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
-    def test_nonfinite_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match="finite"):
-            _lift(np.eye(1), eps)
 
 
 class TestBoundaryPoints:

@@ -84,9 +84,13 @@ class TestParameterizations:
         assert np.allclose(out, 9.0 * np.eye(2), atol=0)
 
     def test_q_of_beta_rejects_bad_beta(self):
-        for beta in (0.0, -1.0, math.nan, math.inf, None, "0.5"):
+        for beta in (0.0, -1.0, math.nan, math.inf, None, "0.5", True):
             with pytest.raises(NonPositiveBeta):
                 q_of_beta(np.eye(2), np.eye(2), beta)
+
+    def test_q_of_beta_rejects_an_empty_shape(self):
+        with pytest.raises(ValueError, match="shape matrix 0 dimension must be at least 1"):
+            q_of_beta(np.zeros((0, 0)), np.zeros((0, 0)), 1.0)
 
     def test_q_of_beta_takes_a_numpy_float(self):
         eye = np.eye(2)
@@ -185,12 +189,22 @@ class TestParameterizations:
                 q_of_direction([np.eye(2), bad], [1.0, 1.0])
         assert caught == []
 
-    def test_q_of_direction_reports_an_overflowing_result(self):
-        # both supports are finite, the assembled shape is not
+    @pytest.mark.parametrize(
+        "assemble",
+        [
+            # both supports are finite, the assembled shape is not
+            lambda: q_of_direction([1e308 * np.eye(2)] * 2, [1.0, 0.0]),
+            lambda: q_of_alpha([1e308 * np.eye(2)] * 2, [0.5, 0.5]),
+            # the weights pass the sum-to-one test; Q / 1e-320 overflows
+            lambda: q_of_alpha([np.eye(2)] * 2, [1e-320, 1.0 - 1e-320]),
+        ],
+        ids=["q_of_direction", "q_of_alpha-huge-shapes", "q_of_alpha-subnormal-weight"],
+    )
+    def test_reports_an_overflowing_result(self, assemble):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(EllipsumError, match=r"non-finite entries \(overflow\)"):
-                q_of_direction([1e308 * np.eye(2)] * 2, [1.0, 0.0])
+                assemble()
         assert caught == []
 
     def test_q_of_direction_checks_emptiness_first(self):
@@ -479,6 +493,15 @@ class TestBisection:
         b_bis, _ = solve_beta_bisection(np.array(lam))
         b_newton, _ = _newton(list(lam), SolverOptions())
         assert abs(b_bis - b_newton) <= SolverOptions().tolerance * b_newton
+
+    def test_stops_when_the_interval_collapses(self):
+        # a tolerance below the float spacing is never met: the bisection
+        # stops at adjacent floats, within the cap, on the default root
+        lam = np.array([1.0, 4.0])
+        b_fine, iterations = solve_beta_bisection(lam, SolverOptions(tolerance=1e-20))
+        b_default, _ = solve_beta_bisection(lam)
+        assert abs(b_fine - b_default) <= 1e-12 * b_default
+        assert iterations < SolverOptions().max_iterations
 
     def test_iteration_cap(self):
         with pytest.raises(MaxIterationsExceeded) as info:

@@ -409,7 +409,7 @@ def test_consistency_checks_reject_a_spectrum_that_is_not_positive_and_finite(na
     assert caught == []
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, True], ids=["zero", "negative", "nan", "bool"])
 @pytest.mark.parametrize("name", sorted(BETA_ORACLES))
 def test_oracles_reject_a_beta_that_is_not_positive_and_finite(name, beta):
     # the one beta rule of q_of_beta and the spectrum helpers, raised before

@@ -14,7 +14,8 @@ from ellipsum import (
     propagate_backward,
     propagate_forward,
 )
-from ellipsum.ellipsoid import _lift, affine_image
+from ellipsum.ellipsoid import affine_image
+from ellipsum.reach import _lift
 
 
 def interval(radius: float) -> Ellipsoid:
@@ -324,6 +325,10 @@ def disk() -> Ellipsoid:
     return Ellipsoid(np.zeros(2), np.eye(2))
 
 
+#: eps values that every tube rejects, one stage or none
+INVALID_EPS = [np.nan, -1e-3, np.inf, True]
+
+
 class TestInputImages:
     @pytest.mark.parametrize(
         "propagate, start, stage",
@@ -358,10 +363,16 @@ class TestInputImages:
         assert "at eps = 0.0" in message and "needs eps > 0" in message
 
     @pytest.mark.parametrize("propagate", [propagate_forward, propagate_backward])
-    @pytest.mark.parametrize("eps", [np.nan, -1e-3, np.inf])
-    def test_invalid_eps_rejected(self, propagate, eps):
+    @pytest.mark.parametrize(
+        "eps, stages",
+        [(eps, 1) for eps in INVALID_EPS] + [(eps, 0) for eps in INVALID_EPS],
+        ids=[str(eps) for eps in INVALID_EPS] + [f"{eps}-empty" for eps in INVALID_EPS],
+    )
+    def test_invalid_eps_rejected(self, propagate, eps, stages):
+        # the tube checks eps once, before any step, so an empty tube and a
+        # bool are rejected too
         with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
-            propagate(interval(1.0), [scalar_stage(0.5, 1.0)], eps=eps)
+            propagate(interval(1.0), [scalar_stage(0.5, 1.0)] * stages, eps=eps)
 
 
 def recording_chain(monkeypatch):
@@ -495,18 +506,18 @@ class TestStepsDoNotValidate:
 
     def test_steps_factor_only_their_output(self, monkeypatch):
         # the mapped state is never factored: one Cholesky per step, of the
-        # step's outer shape, once the stages' input images are factored
+        # step's outer shape, and one per distinct stage per tube, of its
+        # input image; a second tube over the same stages derives them again
         from ellipsum import linalg
 
         rng = np.random.default_rng(1321)
         x0 = random_ellipsoid(rng, 4)
         forward = [tall_stage(rng, 4, 2, 0.5, 0.9) for _ in range(5)] * 4
         backward = [tall_stage(rng, 4, 2, 1.1, 2.0) for _ in range(5)] * 4
-        propagate_forward(x0, forward, eps=1e-9)
-        propagate_backward(x0, backward, eps=1e-9)
         calls = []
         cholesky = linalg._cholesky
         monkeypatch.setattr(linalg, "_cholesky", lambda m: calls.append(m.shape) or cholesky(m))
-        propagate_forward(x0, forward, eps=1e-9)
-        propagate_backward(x0, backward, eps=1e-9)
-        assert len(calls) == len(forward) + len(backward)
+        for _ in range(2):
+            propagate_forward(x0, forward, eps=1e-9)
+            propagate_backward(x0, backward, eps=1e-9)
+        assert len(calls) == 2 * (len(forward) + len(backward) + 5 + 5)

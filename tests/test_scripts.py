@@ -61,3 +61,26 @@ def test_output_digest_compares_log_volumes_per_section(tmp_path):
     proc = digest("--against", str(tmp_path / "short.npy"))
     assert proc.returncode == 1
     assert "counts differ" in proc.stderr
+
+
+def test_output_digest_is_deterministic():
+    # the digest is the bit-identity gate between commits: two runs of one
+    # tree print the same eight lines, the total and one per section
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--seeds", "0"]
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "outputs",
+        "fold_small",
+        "pair_large",
+        "cli_check",
+        "reach_tube",
+        "check",
+        "random_suite",
+        "single_summand",
+    ]
+    assert runs[1].stdout == runs[0].stdout

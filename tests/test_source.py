@@ -247,6 +247,33 @@ def test_every_public_name_has_a_caller():
     assert uncalled == sorted(UNCALLED_EXEMPT)
 
 
+def test_a_reach_stage_is_a_plain_value():
+    # LtiStage holds F, G and its input set and caches nothing: the tube,
+    # reach._propagate, checks eps once and keeps each stage's derived step
+    # for its own length; the lift and the array freeze live in reach.py,
+    # their one user
+    from dataclasses import fields
+
+    from ellipsum import LtiStage
+
+    assert [f.name for f in fields(LtiStage)] == ["F", "G", "input_set"]
+    tree = ast.parse((SOURCE / "reach.py").read_text())
+    assert "field" not in set(_names(tree))
+    assert _modules_naming("_derived") == []
+    for name in ("_lift", "_freeze"):
+        assert _modules_naming(name) == ["reach.py"], name
+    # module functions and methods; a def nested in one belongs to it
+    functions = {
+        node.name: node
+        for statement in tree.body
+        for node in (statement.body if isinstance(statement, ast.ClassDef) else [statement])
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert [name for name, node in functions.items() if "_chain_step" in set(_names(node))] == ["_propagate"]
+    message = "eps must be nonnegative and finite"
+    assert [name for name, node in functions.items() if message in ast.unparse(node)] == ["_propagate"]
+
+
 def test_reach_enters_one_errstate():
     # a tube's steps, F^{-1} of a backward stage included, run inside the
     # one np.errstate of reach._propagate
